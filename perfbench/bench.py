@@ -14,6 +14,7 @@ the traced ones give the per-layer metrics (see ``spans.py``).
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -36,12 +37,13 @@ from oracle import Oracle
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SETUP_REPEATS = 3
-# Warm-up: one untimed BatchEnum run over the batch's first queries. It
-# runs the same Spark plans as the whole batch (same hop bound), which warms
-# the JVM for both algorithms, without the whole batch's driver-side
-# planning, whose cost grows with |Q|². A cold batch is ~35% slower than a
-# later one; after this warm-up the first timed batch still is up to ~20%.
-WARMUP_QUERIES = 10
+# Warm-up: one untimed BatchEnum run over the whole batch. A fresh JVM runs
+# the first batch ~45% slower than later ones on wt-wide-q150 (JIT). After
+# this warm-up the next three rounds of both algorithms stayed within ±4%
+# of each other, and in a ten-round probe the rounds after the first stayed
+# within about ±7% (BatchEnum) and ±12% (BasicEnum) of their median, with no
+# trend. A warm-up over only the batch's first 10 queries, even followed by
+# a whole BasicEnum run, left the first timed BatchEnum run ~20% slow.
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,19 @@ class Workload:
 
 
 # Sized so that one run (JVM start, set-up, warm-up, timed batches) takes
-# about a minute. Both batches have few rows, so a batch's
-# time is mostly Spark's per-job cost, and their Ψ shape, hence their job
-# count, hardly changes from seed to seed. On SL, or with k ≥ 4, the Ψ depth
-# and so BatchEnum's time moved by 30-80% between seeds.
+# about a minute. Both batches have few rows, so a batch's time is mostly
+# Spark's per-job cost, and BatchEnum's job count follows the number of Ψ
+# levels; these sizes keep that count nearly fixed across seeds. Over seeds
+# 1-40, 150 queries with share 0.7 gave 3 levels on 36 seeds (2 on three,
+# 4 on one); 20 random queries gave 1 level on each of seeds 1-12. With 200
+# queries and share 0.6, or 30 random ones, the count, and with it
+# BatchEnum's time, moved by 25-50% between seeds; on SL, or with k ≥ 4,
+# the Ψ depth moved even more.
 WORKLOADS = {
-    # sharing used: μ_Q ≈ 0.1, ~50 clusters, Ψ with edges in 3 levels
-    "wt-wide-q200": Workload("WT", 200, (3, 3), 0.6, 3),
-    # sharing bypassed: random queries, μ_Q ≈ 0.05, Ψ without edges
-    "wt-random-q30": Workload("WT", 30, (3, 3), 0.0, 3),
+    # sharing used: ~30 clusters, Ψ with edges in 3 levels
+    "wt-wide-q150": Workload("WT", 150, (3, 3), 0.7, 3),
+    # sharing bypassed: random queries, one cluster per query, Ψ in 1 level
+    "wt-random-q20": Workload("WT", 20, (3, 3), 0.0, 3),
     # for the smoke test only; not a benchmark workload
     "tiny": Workload("TINY", 8, (3, 4), 0.5, 2),
 }
@@ -119,6 +125,17 @@ def fingerprint(adj, queries) -> dict[str, str]:
             "queries_sha": digest([(q.qid, q.s, q.t, q.k) for q in queries])}
 
 
+def settle(spark) -> None:
+    """Collect the previous batch's garbage before the next batch is timed.
+
+    A full GC in Python and in the JVM, so that no batch pays for the one
+    before it. The JVM collection also lets Spark's context cleaner drop the
+    cached and checkpointed blocks of frames the previous batch left behind.
+    """
+    gc.collect()
+    spark.sparkContext._jvm.System.gc()
+
+
 # --- the benchmark ---------------------------------------------------------
 
 class _Runner:
@@ -137,6 +154,7 @@ class _Runner:
         """
         self.attempted += len(self.queries)
         res = None
+        settle(self.spark)
         with ctx if ctx is not None else contextlib.nullcontext():
             t0 = time.perf_counter()
             try:
@@ -186,7 +204,7 @@ def measure(spark, wl: Workload, seed: int, seconds: float, trace: bool,
 
     with contextlib.closing(Oracle(adj, queries)) as oracle:
         t0 = time.perf_counter()
-        run_batch(spark, edges, queries[:WARMUP_QUERIES])
+        run_batch(spark, edges, queries)
         warm_s = time.perf_counter() - t0
         run = _Runner(spark, edges, queries, oracle)
 

@@ -1,6 +1,6 @@
 """Batch-latency benchmark command.
 
-    python3 perfbench/run.py --workload wt-wide-q200 --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload wt-wide-q150 --seed 1 --seconds 10 --trace 0
 
 Run from the repository root. It builds nothing: the program is the Python
 package under ``src/``. Prints the metrics as ``name value unit`` lines, a
@@ -16,6 +16,8 @@ broadcast joins, Arrow on).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import os
 import shlex
@@ -28,6 +30,55 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"  # spans, Spark scratch and temp files; never committed
 DRIVER_MEM = "2g"
+PR_SET_CHILD_SUBREAPER = 36
+STOP_GRACE_S = 30.0
+
+
+def adopt_descendants() -> None:
+    """Make every process orphaned below this one a child of it (Linux).
+
+    The Spark JVM starts Python workers of its own; once the JVM has ended
+    they become children of this process, so ``stop_children`` stops and
+    waits for them too.
+    """
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER)")
+
+
+def _children() -> list[int]:
+    me, kids = os.getpid(), []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == me:
+            kids.append(int(entry))
+    return kids
+
+
+def stop_children() -> None:
+    """SIGTERM every child, SIGKILL those still there after STOP_GRACE_S,
+    and reap them until this process has no child left."""
+    deadline = time.monotonic() + STOP_GRACE_S
+    signalled: set[int] = set()
+    while True:
+        try:
+            while os.waitpid(-1, os.WNOHANG)[0]:
+                pass
+        except ChildProcessError:
+            return
+        late = time.monotonic() > deadline
+        for pid in _children():
+            if late or pid not in signalled:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL if late else signal.SIGTERM)
+                signalled.add(pid)
+        time.sleep(0.05)
 
 
 def session():
@@ -48,7 +99,7 @@ def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
@@ -78,19 +129,26 @@ def main(argv: list[str]) -> int:
         print(f"error: unknown workload {args.workload!r}; "
               f"known: {sorted(bench.WORKLOADS)}", file=sys.stderr)
         return 2
-    # A terminated run still stops Spark and the oracle process.
+    # A terminated run still stops Spark, the oracle process and every
+    # process either of them started, and waits for each to end.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    t0 = time.perf_counter()
-    spark = session()
-    session_s = time.perf_counter() - t0
+    adopt_descendants()
+    spark = None
     try:
+        t0 = time.perf_counter()
+        spark = session()
+        session_s = time.perf_counter() - t0
         out = OUT / f"trace-{args.workload}-{args.seed}.jsonl"
         result, info = bench.measure(
             spark, bench.WORKLOADS[args.workload], args.seed, args.seconds,
             bool(args.trace), trace_out=out if args.trace else None,
         )
     finally:
-        spark.stop()
+        try:
+            if spark is not None:
+                spark.stop()
+        finally:
+            stop_children()
     info = {"workload": args.workload, "session_start_s": session_s, **info}
     for name, m in result["metrics"].items():
         print(f"{name} {m['value']:.6g} {m['unit']}")
