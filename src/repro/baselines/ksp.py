@@ -24,7 +24,7 @@ from repro.core.basic_enum import RunResult
 from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split
-from repro.graph.ops import reverse_edges
+from repro.graph.ops import checkpoint_counted, reverse_edges
 from repro.harness.timing import StageTimer
 
 
@@ -45,9 +45,8 @@ def _run_unpruned(
             _empty_index(spark), _empty_index(spark),
             stats=stats,
         )
-        results = assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
-        n_paths = results.count()
-    return RunResult(results, timer.seconds, stats, {"n_paths": n_paths})
+        results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
+    return RunResult(results, timer.seconds, stats, {"n_paths": seen["rows"]})
 
 
 def _empty_index(spark: SparkSession) -> DataFrame:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import index as idx
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split, optimized_split
-from repro.graph.ops import reverse_edges
+from repro.graph.ops import checkpoint_counted, reverse_edges
 from repro.harness.timing import StageTimer
 
 
@@ -59,6 +59,10 @@ def run_basic(
     """Run Algorithm 1 over the batch; returns all HC-s-t paths per query."""
     timer = StageTimer()
     stats = EnumStats()
+    if not queries:
+        return RunResult(
+            no_paths(spark), timer.seconds, stats, {"n_paths": 0, "n_nodes": 0}
+        )
     rev = reverse_edges(edges)
     k_max = max(q.k for q in queries)
     with timer.stage("build_index"):
@@ -72,9 +76,8 @@ def run_basic(
             spark, edges, rev, plan.nodes, plan.prune_pairs,
             fwd_index, bwd_index, stats=stats,
         )
-        results = assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
-        n_paths = results.count()
+        results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
     return RunResult(
         results, timer.seconds, stats,
-        {"n_paths": n_paths, "n_nodes": len(plan.nodes)},
+        {"n_paths": seen["rows"], "n_nodes": len(plan.nodes)},
     )

@@ -10,8 +10,9 @@ Pipeline (Alg 4 lines 1-16):
 4. **Enumeration** — Ψ's HC-s nodes are processed level-by-level in
    topological order; each level is one batched Spark enumeration whose
    searches *stop* at provider roots and concatenate the provider's cached
-   paths from ``R`` (a persisted DataFrame). Finally every query's forward
-   and backward HC-s results are ⊕-concatenated.
+   paths from ``R`` (the providers' rows of earlier levels' checkpoints).
+   Finally every query's forward and backward HC-s results are
+   ⊕-concatenated.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.
@@ -19,15 +20,22 @@ before detection, so sharing operates on the optimized budgets.
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
+from repro.core import enumeration
 from repro.core import index as idx
 from repro.core.basic_enum import RunResult, compute_splits
 from repro.core.clustering import cluster_queries
-from repro.core.enumeration import EnumStats, assemble, empty_paths, enumerate_nodes
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
 from repro.core.queries import Query
 from repro.core.sharing import align_splits_per_cluster, build_shared_plan
 from repro.core.similarity import batch_similarity, pairwise_mu
-from repro.graph.ops import collect_adjacency, reverse_adjacency, reverse_edges
+from repro.graph.ops import (
+    checkpoint_counted,
+    collect_adjacency,
+    reverse_adjacency,
+    reverse_edges,
+)
 from repro.harness.timing import StageTimer
 
 
@@ -47,6 +55,12 @@ def run_batch(
     """
     timer = StageTimer()
     stats = EnumStats()
+    if not queries:
+        return RunResult(
+            no_paths(spark), timer.seconds, stats,
+            {"n_paths": 0, "n_nodes": 0, "n_shared_edges": 0, "n_clusters": 0,
+             "n_levels": 0, "mu_q": 0.0},
+        )
     rev = reverse_edges(edges)
     k_max = max(q.k for q in queries)
 
@@ -74,23 +88,16 @@ def run_batch(
         )
 
     with timer.stage("enumeration"):
-        from pyspark.sql import functions as F
-
-        from repro.core.enumeration import build_allow
-
-        allow = build_allow(
+        # looked up on its module, where perfbench's trace wraps it
+        allow = enumeration.build_allow(
             spark, plan.nodes, plan.prune_pairs, fwd_index, bwd_index
         )
-        # Only Ψ *providers* must be materialized into the cache R (their
-        # results are re-read by consumers, Alg 4 lines 9-10). Leaf nodes —
-        # typically the initial HC-s queries carrying the bulk of the rows —
-        # stay lazy and flow straight into ⊕ assembly, split by side so each
-        # is computed exactly once.
+        # Every level is checkpointed once, by ``enumerate_nodes``. The cache
+        # R (Alg 4 lines 9-10) is the providers' rows of those checkpoints,
+        # and ⊕ reads the union of all of them, so no level is computed twice.
         provider_nids = {e.provider for e in plan.edges}
-        cache = empty_paths(spark)
-        leaf_f = empty_paths(spark)
-        leaf_b = empty_paths(spark)
-        side_of = {n.nid: n.side for n in plan.nodes}
+        cache = None
+        paths = None
         for level in plan.topo_levels:
             level_nids = {n.nid for n in level}
             level_stops = [s for s in plan.stops if s.nid in level_nids]
@@ -98,33 +105,18 @@ def run_batch(
                 spark, edges, rev, level, plan.prune_pairs,
                 fwd_index, bwd_index,
                 stops=level_stops, cache=cache, stats=stats, allow=allow,
-                materialize=False,
             )
+            paths = res if paths is None else paths.unionByName(res)
             prov = sorted(level_nids & provider_nids)
             if prov:
-                cache = cache.unionByName(
-                    res.where(F.col("nid").isin(prov)).localCheckpoint(eager=True)
-                )
-            lf = sorted(
-                n for n in level_nids - provider_nids if side_of[n] == "F"
-            )
-            lb = sorted(
-                n for n in level_nids - provider_nids if side_of[n] == "B"
-            )
-            if lf:
-                leaf_f = leaf_f.unionByName(res.where(F.col("nid").isin(lf)))
-            if lb:
-                leaf_b = leaf_b.unionByName(res.where(F.col("nid").isin(lb)))
-        results = assemble(
-            spark, cache.unionByName(leaf_f), plan.plans,
-            paths_bwd=cache.unionByName(leaf_b),
-        ).localCheckpoint(eager=True)
-        n_paths = results.count()
+                part = res.where(F.col("nid").isin(prov))
+                cache = part if cache is None else cache.unionByName(part)
+        results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
 
     return RunResult(
         results, timer.seconds, stats,
         {
-            "n_paths": n_paths,
+            "n_paths": seen["rows"],
             "n_nodes": len(plan.nodes),
             "n_shared_edges": len(plan.edges),
             "n_clusters": len(clusters),

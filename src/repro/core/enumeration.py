@@ -18,11 +18,12 @@ Paths are ``array<long>`` columns; ``len`` is the hop count (|path| − 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from repro.graph.ops import checkpoint_counted, local_frame
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ def empty_paths(spark: SparkSession) -> DataFrame:
     return spark.createDataFrame([], _EMPTY_SCHEMA)
 
 
-def _seeds(spark: SparkSession, nodes: list[HcsNode]) -> DataFrame:
-    rows = [(n.nid, [n.root], n.root, 0) for n in nodes]
-    return spark.createDataFrame(rows, _EMPTY_SCHEMA)
+def no_paths(spark: SparkSession) -> DataFrame:
+    """The empty ``(qid, path)`` answer of a batch with nothing to assemble."""
+    return spark.createDataFrame([], "qid long, path array<long>")
 
 
 def _allow_table(
@@ -102,9 +103,7 @@ def _allow_table(
     any paired target (unreachable, dist = ∞) get no row and are pruned by
     the inner join.
     """
-    pairs = spark.createDataFrame(
-        pd.DataFrame(prune_pairs, columns=["nid", "t", "cap"]).astype("int64")
-    )
+    pairs = local_frame(spark, prune_pairs, "nid long, t long, cap long")
     return (
         pairs.join(dist_index, pairs["t"] == dist_index["root"])
         .select("nid", "v", (F.col("cap") - F.col("dist")).alias("slack"))
@@ -156,7 +155,6 @@ def enumerate_nodes(
     cache: DataFrame | None = None,
     stats: EnumStats | None = None,
     allow: DataFrame | None = None,
-    materialize: bool = True,
 ) -> DataFrame:
     """Materialize the path sets of ``nodes`` (both sides batched together).
 
@@ -165,9 +163,11 @@ def enumerate_nodes(
     ``dist_G(·, root)`` (prunes forward nodes). ``prune_pairs`` are
     ``(nid, target_root, cap)`` rows — for a forward node the targets are
     HC-s-t targets ``t`` with caps per DESIGN.md §2; symmetric for backward.
+    A prefix that reaches a ``stops`` vertex is closed there and extended by
+    the provider's rows in ``cache``, which must hold them.
 
     Returns ``(nid, path, last, len)`` including the zero-length seed path
-    of every node. The result is materialized via ``localCheckpoint``.
+    of every node, materialized by one final ``localCheckpoint``.
     """
     if not nodes:
         return empty_paths(spark)
@@ -176,16 +176,19 @@ def enumerate_nodes(
     # Both directions run in ONE level-synchronous loop: the edge tables are
     # tagged with the side they serve and broadcast, and every frontier row
     # carries its node's side — one Spark job per hop regardless of
-    # direction mix. The map-side (broadcast) join removes per-hop shuffles;
-    # only the frontier is checkpointed per hop, while the stop-split and
-    # the running result union stay lazy over those checkpointed frontiers.
+    # direction mix. The map-side (broadcast) join removes per-hop shuffles.
+    # Each hop's new rows are checkpointed once, with the stop split already
+    # joined in; that checkpoint's job also counts the rows (an observation),
+    # and the open/closed split and the running result union read it.
     edges_b = F.broadcast(
         edges_fwd.withColumn("eside", F.lit("F")).unionByName(
             edges_bwd.withColumn("eside", F.lit("B"))
         )
     )
-    node_side = spark.createDataFrame(
-        [(n.nid, n.side, n.budget) for n in nodes], "nid long, side string, budget int"
+    node_tab = local_frame(
+        spark,
+        [(n.nid, n.root, n.side, n.budget) for n in nodes],
+        "nid long, root long, side string, budget int",
     )
     if allow is None:
         allow = build_allow(spark, nodes, prune_pairs, dist_fwd, dist_bwd)
@@ -196,22 +199,23 @@ def enumerate_nodes(
 
     stop_df = None
     if stops:
-        node_stops = [s for s in stops if s.nid in {n.nid for n in nodes}]
+        node_nids = {n.nid for n in nodes}
+        node_stops = [(s.nid, s.stop_v, s.provider) for s in stops if s.nid in node_nids]
         if node_stops:
             stop_df = F.broadcast(
-                spark.createDataFrame(
-                    [(s.nid, s.stop_v, s.provider) for s in node_stops],
-                    "nid long, stop_v long, provider long",
-                )
+                local_frame(spark, node_stops, "nid long, stop_v long, provider long")
             )
 
-    seeds = _seeds(spark, nodes).join(F.broadcast(node_side), "nid").select(
-        "nid", "path", "last", "len", "side", "budget"
+    frontier = node_tab.select(
+        "nid",
+        F.array("root").alias("path"),
+        F.col("root").alias("last"),
+        F.lit(0).alias("len"),
+        "side",
+        "budget",
     )
-    results = seeds.select("nid", "path", "last", "len")
+    results = frontier.select("nid", "path", "last", "len")
     closed = None
-    frontier = seeds
-    news: list[DataFrame] = []
     max_budget = max(n.budget for n in nodes)
     for _ in range(max_budget):
         live = frontier.where(F.col("len") < F.col("budget"))
@@ -244,33 +248,29 @@ def enumerate_nodes(
             (F.col("len") + 1).cast("int").alias("len"),
             "side",
             "budget",
-        ).localCheckpoint(eager=True)
-        stats.levels += 1
-        if new.isEmpty():
-            break
-        news.append(new)
+        )
+        aggs = {}
         if stop_df is not None:
-            j = new.join(
+            new = new.join(
                 stop_df,
                 (new["nid"] == stop_df["nid"]) & (new["last"] == stop_df["stop_v"]),
                 "left",
             ).select(new["nid"], "path", "last", "len", "side", "budget", "provider")
-            closed_new = j.where(F.col("provider").isNotNull()).drop("side")
-            open_new = j.where(F.col("provider").isNull()).drop("provider")
+            aggs["closed"] = F.count("provider")
+        new, seen = checkpoint_counted(new, **aggs)
+        stats.levels += 1
+        if seen["rows"] == 0:
+            break
+        stats.expanded_rows += seen["rows"]
+        if stop_df is not None:
+            stats.closed_rows += seen["closed"]
+            closed_new = new.where(F.col("provider").isNotNull()).drop("side")
             closed = closed_new if closed is None else closed.unionByName(closed_new)
-        else:
-            open_new = new
-        results = results.unionByName(open_new.select("nid", "path", "last", "len"))
-        frontier = open_new
+            new = new.where(F.col("provider").isNull()).drop("provider")
+        results = results.unionByName(new.select("nid", "path", "last", "len"))
+        frontier = new
 
-    if news:  # one action totals the expansion work over all hops
-        total = news[0]
-        for n_df in news[1:]:
-            total = total.unionByName(n_df)
-        stats.expanded_rows += total.count()
-
-    if closed is not None and cache is not None:
-        stats.closed_rows += closed.count()
+    if closed is not None:
         c = cache.select(
             F.col("nid").alias("provider"),
             F.col("path").alias("cpath"),
@@ -290,17 +290,13 @@ def enumerate_nodes(
             )
         )
         results = results.unionByName(attached)
-    # Per-hop frontiers are already checkpointed; ``materialize=False`` lets
-    # a caller keep the (potentially huge) cache-concatenation output lazy
-    # when it flows straight into ⊕ assembly and is never re-read.
-    return results.localCheckpoint(eager=True) if materialize else results
+    return results.localCheckpoint(eager=True)
 
 
 def assemble(
     spark: SparkSession,
     paths: DataFrame,
     plans: list[QueryPlan],
-    paths_bwd: DataFrame | None = None,
 ) -> DataFrame:
     """⊕-concatenate half-paths into final HC-s-t paths (Def 3.1).
 
@@ -313,14 +309,12 @@ def assemble(
     * hops ≥ a → forward prefix of exactly ``a`` hops ⋈ backward suffix
       (including the zero-length ``[t]``) on the meeting vertex, filtered
       for vertex-disjointness.
-
-    ``paths_bwd`` (optional) supplies the backward-node rows separately so
-    lazily-built inputs are each scanned exactly once; defaults to ``paths``.
     """
     if not plans:
-        return spark.createDataFrame([], "qid long, path array<long>")
+        return no_paths(spark)
     plan_df = F.broadcast(
-        spark.createDataFrame(
+        local_frame(
+            spark,
             [(p.qid, p.s, p.t, p.k, p.a, p.fnid, p.bnid) for p in plans],
             "qid long, s long, t long, k int, a int, fnid long, bnid long",
         )
@@ -336,8 +330,7 @@ def assemble(
     ).select("qid", F.col("fpath").alias("path"))
 
     fexact = fwd.where(F.col("flen") == F.col("a"))
-    bsrc = paths_bwd if paths_bwd is not None else paths
-    bwd = bsrc.join(plan_df, bsrc["nid"] == plan_df["bnid"]).select(
+    bwd = paths.join(plan_df, paths["nid"] == plan_df["bnid"]).select(
         F.col("qid").alias("bqid"),
         (F.col("k") - F.col("a")).alias("b"),
         F.col("path").alias("bpath"),

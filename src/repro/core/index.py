@@ -13,9 +13,58 @@ pays off.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from repro.graph.ops import checkpoint_counted, local_frame
+
+
+def _tagged_bfs(
+    spark: SparkSession,
+    tagged_edges: DataFrame,
+    roots: list[tuple[str, int]],
+    k_max: int,
+) -> DataFrame:
+    """``(tag, root, v, dist)`` for the distinct ``(tag, root)`` seeds
+    ``roots``, each walking only the ``tagged_edges`` rows (``tag, src,
+    dst``) of its own tag.
+
+    One Spark job per level: the level's new rows are anti-joined against
+    the running ``visited`` checkpoint (broadcast — it is index-sized) and
+    checkpointed together with it; the same job counts the rows, and the
+    loop stops at the first level that adds none. The edge table is
+    broadcast into every frontier join: the frontier is the small, shuffling
+    side at our scale, and a map-side join removes per-level shuffle
+    overhead (DESIGN.md §2).
+    """
+    edges_b = F.broadcast(tagged_edges)
+    visited = local_frame(
+        spark, [(tag, r, r, 0) for tag, r in roots],
+        "tag string, root long, v long, dist int",
+    ).localCheckpoint(eager=True)
+    frontier = visited
+    size = len(roots)
+    for depth in range(1, k_max + 1):
+        nxt = (
+            frontier.join(
+                edges_b,
+                (frontier["tag"] == edges_b["tag"]) & (frontier["v"] == edges_b["src"]),
+            )
+            .select(frontier["tag"], "root", F.col("dst").alias("v"))
+            .distinct()
+            .join(
+                F.broadcast(visited.select("tag", "root", "v")),
+                ["tag", "root", "v"],
+                "left_anti",
+            )
+            .withColumn("dist", F.lit(depth))
+        )
+        visited, seen = checkpoint_counted(visited.unionByName(nxt))
+        if seen["rows"] == size:
+            break
+        size = seen["rows"]
+        frontier = visited.where(F.col("dist") == depth)
+    return visited
 
 
 def multi_source_bfs(
@@ -34,39 +83,8 @@ def multi_source_bfs(
     roots = sorted(set(roots))
     if not roots:
         return spark.createDataFrame([], "root long, v long, dist int")
-    seed = spark.createDataFrame(
-        pd.DataFrame(
-            {"root": pd.Series(roots, dtype="int64"),
-             "v": pd.Series(roots, dtype="int64"),
-             "dist": pd.Series([0] * len(roots), dtype="int32")}
-        )
-    )
-    # The edge table is broadcast into every frontier join: the frontier is
-    # the small, shuffling side at our scale, and a map-side join removes
-    # per-level shuffle overhead (DESIGN.md §2 — the index/graph broadcast
-    # is the batch algorithms' shared-state pattern).
-    edges_b = F.broadcast(edges)
-    levels = [seed.localCheckpoint(eager=True)]
-    frontier = levels[0]
-    for depth in range(1, k_max + 1):
-        visited = levels[0]
-        for lv in levels[1:]:
-            visited = visited.unionByName(lv)
-        nxt = (
-            frontier.join(edges_b, frontier["v"] == edges_b["src"])
-            .select("root", F.col("dst").alias("v"))
-            .distinct()
-            .join(visited.select("root", "v"), ["root", "v"], "left_anti")
-            .withColumn("dist", F.lit(depth).cast("int"))
-        ).localCheckpoint(eager=True)
-        if nxt.isEmpty():
-            break
-        levels.append(nxt)
-        frontier = nxt
-    out = levels[0]
-    for lv in levels[1:]:
-        out = out.unionByName(lv)
-    return out.localCheckpoint(eager=True)
+    tagged = edges.withColumn("tag", F.lit("F"))
+    return _tagged_bfs(spark, tagged, [("F", r) for r in roots], k_max).drop("tag")
 
 
 def bidirectional_index(
@@ -81,39 +99,13 @@ def bidirectional_index(
     tagged level-synchronous loop (one Spark job per hop for both
     directions), exactly as BasicEnum/BatchEnum build their shared index
     from S and T together (Alg 1/4 lines 1-2)."""
-    import pandas as pd
-
-    s_roots, t_roots = sorted(set(s_roots)), sorted(set(t_roots))
     tagged = edges.withColumn("tag", F.lit("F")).unionByName(
         edges_rev.withColumn("tag", F.lit("B"))
     )
-    tagged_b = F.broadcast(tagged)
-    seed_rows = [("F", r, r, 0) for r in s_roots] + [("B", r, r, 0) for r in t_roots]
-    seed = spark.createDataFrame(seed_rows, "tag string, root long, v long, dist int")
-    levels = [seed.localCheckpoint(eager=True)]
-    frontier = levels[0]
-    for depth in range(1, k_max + 1):
-        visited = levels[0]
-        for lv in levels[1:]:
-            visited = visited.unionByName(lv)
-        nxt = (
-            frontier.join(
-                tagged_b,
-                (frontier["tag"] == tagged_b["tag"]) & (frontier["v"] == tagged_b["src"]),
-            )
-            .select(frontier["tag"], "root", F.col("dst").alias("v"))
-            .distinct()
-            .join(visited.select("tag", "root", "v"), ["tag", "root", "v"], "left_anti")
-            .withColumn("dist", F.lit(depth).cast("int"))
-        ).localCheckpoint(eager=True)
-        if nxt.isEmpty():
-            break
-        levels.append(nxt)
-        frontier = nxt
-    allv = levels[0]
-    for lv in levels[1:]:
-        allv = allv.unionByName(lv)
-    allv = allv.localCheckpoint(eager=True)
+    roots = [("F", r) for r in sorted(set(s_roots))] + [
+        ("B", r) for r in sorted(set(t_roots))
+    ]
+    allv = _tagged_bfs(spark, tagged, roots, k_max)
     fwd = allv.where(F.col("tag") == "F").drop("tag")
     bwd = allv.where(F.col("tag") == "B").drop("tag")
     return fwd, bwd

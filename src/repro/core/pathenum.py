@@ -13,10 +13,10 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import index as idx
 from repro.core.basic_enum import RunResult
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split
-from repro.graph.ops import reverse_edges
+from repro.graph.ops import checkpoint_counted, reverse_edges
 from repro.harness.timing import StageTimer
 
 
@@ -28,6 +28,8 @@ def run_pathenum(
     """Answer every query with an independent PathEnum run."""
     timer = StageTimer()
     stats = EnumStats()
+    if not queries:
+        return RunResult(no_paths(spark), timer.seconds, stats, {"n_paths": 0})
     rev = reverse_edges(edges)
     per_query: list[DataFrame] = []
     n_paths = 0
@@ -42,8 +44,8 @@ def run_pathenum(
                 spark, edges, rev, plan.nodes, plan.prune_pairs,
                 fwd_index, bwd_index, stats=stats,
             )
-            res = assemble(spark, paths, plan.plans).localCheckpoint(eager=True)
-            n_paths += res.count()
+            res, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
+            n_paths += seen["rows"]
         per_query.append(res)
     results = per_query[0]
     for r in per_query[1:]:

@@ -15,6 +15,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.queries import Query
+from repro.graph.ops import local_frame
 
 
 def gamma_members(index: DataFrame, queries: list[Query], *, by_target: bool) -> DataFrame:
@@ -25,7 +26,7 @@ def gamma_members(index: DataFrame, queries: list[Query], *, by_target: bool) ->
     """
     root_of = [(q.qid, q.t if by_target else q.s, q.k) for q in queries]
     qmap = F.broadcast(
-        index.sparkSession.createDataFrame(root_of, "qid long, r long, k int")
+        local_frame(index.sparkSession, root_of, "qid long, r long, k int")
     )
     return (
         index.join(qmap, index["root"] == qmap["r"])

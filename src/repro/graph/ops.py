@@ -2,8 +2,31 @@
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
+
+
+def local_frame(spark: SparkSession, rows: list[tuple], schema: str) -> DataFrame:
+    """A small driver-built table as a JVM-local relation.
+
+    ``schema`` is a DDL string (``"nid long, side string"``). Built from
+    pandas through Arrow, the table plans as a ``LocalTableScan``; the same
+    rows passed as a Python list would plan as a scan of a Python RDD, which
+    starts a Python worker on every scan (DESIGN.md §2). An empty ``rows``
+    still falls back to that slow path, so hot-path callers avoid it.
+    """
+    columns = [field.split()[0] for field in schema.split(",")]
+    return spark.createDataFrame(pd.DataFrame(rows, columns=columns), schema)
+
+
+def checkpoint_counted(df: DataFrame, **aggs: Column) -> tuple[DataFrame, dict]:
+    """``df.localCheckpoint(eager=True)`` with its row count (``"rows"``) and
+    the aggregates ``aggs`` (name → column expression), all computed by the
+    checkpoint's own Spark job through an ``Observation``, so counting costs
+    no job of its own."""
+    obs = Observation()
+    exprs = [F.count(F.lit(1)).alias("rows")] + [e.alias(n) for n, e in aggs.items()]
+    return df.observe(obs, *exprs).localCheckpoint(eager=True), obs.get
 
 
 def reverse_edges(edges: DataFrame) -> DataFrame:

@@ -10,7 +10,7 @@ from repro.baselines.ksp import run_dksp, run_onepass
 from repro.core import ref_engine as ref
 from repro.core.basic_enum import run_basic
 from repro.core.batch_enum import run_batch
-from repro.core.enumeration import paths_as_strings
+from repro.core.enumeration import EnumStats, paths_as_strings
 from repro.core.pathenum import run_pathenum
 from repro.core.queries import Query, gen_queries
 from repro.oracle import assert_equivalent
@@ -101,6 +101,21 @@ class TestPaperBatchCorrectness:
         }
         assert set(paper_runs["basic"].timings) == {"build_index", "enumeration"}
 
+    @pytest.mark.parametrize(
+        "algo,want",
+        [
+            ("batch", EnumStats(expanded_rows=28, closed_rows=8, levels=5)),
+            ("batch+", EnumStats(expanded_rows=29, closed_rows=5, levels=5)),
+            ("basic", EnumStats(expanded_rows=40, closed_rows=0, levels=3)),
+            ("basic+", EnumStats(expanded_rows=40, closed_rows=0, levels=3)),
+        ],
+    )
+    def test_work_counts_pinned(self, paper_runs, algo, want):
+        # Recorded before the counts moved onto per-hop observations; the
+        # benchmark's per-layer rows/closed_rows/hops read these fields.
+        assert paper_runs[algo].stats == want
+        assert paper_runs[algo].extras["n_paths"] == 11
+
     def test_all_paths_respect_hop_constraint(self, paper_runs):
         qk = {q.qid: q.k for q in PAPER_Q}
         for r in paper_runs["batch"].results.collect():
@@ -175,3 +190,13 @@ class TestDegenerateBatches:
         got = by_query(rr, qs)
         for q in qs:
             assert got[q.qid] == ref.enum_st_paths(paper_adj, 0, 11, q.k), q
+
+    @pytest.mark.parametrize(
+        "run", [run_pathenum, run_basic, run_batch, run_dksp, run_onepass],
+        ids=["pathenum", "basic", "batch", "dksp", "onepass"],
+    )
+    def test_empty_batch(self, spark, paper_edges, run):
+        rr = run(spark, paper_edges, [])
+        assert rr.results.columns == ["qid", "path"]
+        assert rr.results.count() == 0
+        assert rr.extras["n_paths"] == 0
