@@ -3,16 +3,16 @@
 Pipeline (Alg 4 lines 1-16):
 
 1. **BuildIndex** — shared multi-source BFS index (same as BasicEnum).
-2. **ClusterQuery** — pairwise μ from the index's Γ reach sets (one Spark
-   self-join), then driver-side hierarchical clustering at threshold γ.
+2. **ClusterQuery** — pairwise μ from the index's Γ reach sets, read from
+   the ``{root: {v: dist}}`` maps collected to the driver once (Alg 3 uses
+   the same maps), then driver-side hierarchical clustering at threshold γ.
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
-4. **Enumeration** — Ψ's HC-s nodes are processed level-by-level in
-   topological order; each level is one batched Spark enumeration whose
-   searches *stop* at provider roots and concatenate the provider's cached
-   paths from ``R`` (the providers' rows of earlier levels' checkpoints).
-   Finally every query's forward and backward HC-s results are
-   ⊕-concatenated.
+4. **Enumeration** — all of Ψ's HC-s nodes expand in one batched Spark hop
+   loop whose searches *stop* at provider roots. Then, level by level in
+   topological order, each stopped prefix concatenates its provider's
+   paths from ``R`` (open rows plus earlier levels' attachments). Finally
+   every query's forward and backward HC-s results are ⊕-concatenated.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.
@@ -20,13 +20,18 @@ before detection, so sharing operates on the optimized budgets.
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import enumeration
 from repro.core import index as idx
 from repro.core.basic_enum import RunResult, compute_splits
 from repro.core.clustering import cluster_queries
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
+from repro.core.enumeration import (
+    EnumStats,
+    assemble,
+    attach_cached,
+    enumerate_nodes,
+    no_paths,
+)
 from repro.core.queries import Query
 from repro.core.sharing import align_splits_per_cluster, build_shared_plan
 from repro.core.similarity import batch_similarity, pairwise_mu
@@ -50,8 +55,9 @@ def run_batch(
 ) -> RunResult:
     """Run Algorithm 4 over the batch; returns all HC-s-t paths per query.
 
-    ``max_depth`` caps Ψ's provider-chain length (= sequential enumeration
-    levels); see ``repro.core.sharing`` for the rationale.
+    ``max_depth`` caps Ψ's provider-chain length (= topological levels, each
+    past the first one sequential attach join); see ``repro.core.sharing``
+    for the rationale.
     """
     timer = StageTimer()
     stats = EnumStats()
@@ -70,15 +76,15 @@ def run_batch(
         )
 
     with timer.stage("cluster_query"):
-        mu = pairwise_mu(fwd_index, bwd_index, queries)
+        dist_from_s = idx.collect_dists(fwd_index)
+        dist_to_t = idx.collect_dists(bwd_index)
+        mu = pairwise_mu(dist_from_s, dist_to_t, queries)
         clusters = cluster_queries(mu, [q.qid for q in queries], gamma)
         mu_q = batch_similarity(mu, len(queries))
 
     with timer.stage("identify_subquery"):
         adj = collect_adjacency(edges)
         radj = reverse_adjacency(adj)
-        dist_from_s = idx.collect_dists(fwd_index)
-        dist_to_t = idx.collect_dists(bwd_index)
         splits = compute_splits(queries, optimized, fwd_index, bwd_index)
         if optimized:
             splits = align_splits_per_cluster(queries, clusters, splits)
@@ -92,25 +98,14 @@ def run_batch(
         allow = enumeration.build_allow(
             spark, plan.nodes, plan.prune_pairs, fwd_index, bwd_index
         )
-        # Every level is checkpointed once, by ``enumerate_nodes``. The cache
-        # R (Alg 4 lines 9-10) is the providers' rows of those checkpoints,
-        # and ⊕ reads the union of all of them, so no level is computed twice.
-        provider_nids = {e.provider for e in plan.edges}
-        cache = None
-        paths = None
-        for level in plan.topo_levels:
-            level_nids = {n.nid for n in level}
-            level_stops = [s for s in plan.stops if s.nid in level_nids]
-            res = enumerate_nodes(
-                spark, edges, rev, level, plan.prune_pairs,
-                fwd_index, bwd_index,
-                stops=level_stops, cache=cache, stats=stats, allow=allow,
-            )
-            paths = res if paths is None else paths.unionByName(res)
-            prov = sorted(level_nids & provider_nids)
-            if prov:
-                part = res.where(F.col("nid").isin(prov))
-                cache = part if cache is None else cache.unionByName(part)
+        # Expansion never reads the cache R: a consumer's prefix closes at
+        # the provider's root whatever R holds. So all of Ψ expands in one
+        # hop loop, and only the concatenation runs in topological order.
+        expanded = enumerate_nodes(
+            spark, edges, rev, plan.nodes, plan.prune_pairs,
+            fwd_index, bwd_index, stops=plan.stops, stats=stats, allow=allow,
+        )
+        paths = attach_cached(expanded, plan.topo_levels, plan.stops, stats.closers)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
 
     return RunResult(

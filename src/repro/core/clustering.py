@@ -2,8 +2,8 @@
 batch under group-average linkage δ, stopping at threshold γ.
 
 The paper runs this on the driver too ("the number of queries in Q is medium
-in size"); the only data-sized work — the μ matrix — is produced by Spark in
-``repro.core.similarity``.
+in size"); its input, the μ matrix, is computed in ``repro.core.similarity``
+from the index rows already collected to the driver.
 """
 from __future__ import annotations
 

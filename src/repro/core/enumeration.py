@@ -8,8 +8,10 @@ This module is the dataflow core every algorithm shares:
   the edge table per hop, one broadcast join with the distance index for
   Lemma 3.1 pruning, an ``array_contains`` filter for simplicity, and —
   for BatchEnum — a stop-table join that closes a prefix at a provider's
-  root vertex and later concatenates the provider's cached paths (Alg 4
-  lines 22-23).
+  root vertex.
+* :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
+  22-23): the closed prefixes are extended by their provider's paths, one
+  topological level of Ψ at a time.
 * :func:`assemble` — the ⊕ operator (Def 3.1) joining forward half-paths
   with backward half-paths at the meeting vertex, with the duplicate-free
   split and ``arrays_overlap`` simplicity filter described in DESIGN.md §2.
@@ -18,7 +20,7 @@ Paths are ``array<long>`` columns; ``len`` is the hop count (|path| − 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -69,14 +71,13 @@ class EnumStats:
     expanded_rows: int = 0
     closed_rows: int = 0
     levels: int = 0
-
-    def merge(self, other: "EnumStats") -> None:
-        self.expanded_rows += other.expanded_rows
-        self.closed_rows += other.closed_rows
-        self.levels += other.levels
+    # nodes with at least one closed prefix: the consumers attach_cached joins
+    closers: set[int] = field(default_factory=set, compare=False)
 
 
-_EMPTY_SCHEMA = "nid long, path array<long>, last long, len int"
+_EMPTY_SCHEMA = (
+    "nid long, path array<long>, last long, len int, budget int, provider long"
+)
 
 
 def empty_paths(spark: SparkSession) -> DataFrame:
@@ -152,7 +153,6 @@ def enumerate_nodes(
     dist_bwd: DataFrame,
     *,
     stops: list[StopRule] | None = None,
-    cache: DataFrame | None = None,
     stats: EnumStats | None = None,
     allow: DataFrame | None = None,
 ) -> DataFrame:
@@ -163,11 +163,13 @@ def enumerate_nodes(
     ``dist_G(·, root)`` (prunes forward nodes). ``prune_pairs`` are
     ``(nid, target_root, cap)`` rows — for a forward node the targets are
     HC-s-t targets ``t`` with caps per DESIGN.md §2; symmetric for backward.
-    A prefix that reaches a ``stops`` vertex is closed there and extended by
-    the provider's rows in ``cache``, which must hold them.
+    A prefix that reaches a ``stops`` vertex is closed there: it is kept
+    with its ``provider`` set and is not extended further (see
+    :func:`attach_cached`).
 
-    Returns ``(nid, path, last, len)`` including the zero-length seed path
-    of every node, materialized by one final ``localCheckpoint``.
+    Returns ``(nid, path, last, len, budget, provider)`` including the
+    zero-length seed path of every node, materialized by one final
+    ``localCheckpoint``; ``provider`` is null on every open row.
     """
     if not nodes:
         return empty_paths(spark)
@@ -179,7 +181,7 @@ def enumerate_nodes(
     # direction mix. The map-side (broadcast) join removes per-hop shuffles.
     # Each hop's new rows are checkpointed once, with the stop split already
     # joined in; that checkpoint's job also counts the rows (an observation),
-    # and the open/closed split and the running result union read it.
+    # and the frontier and the running result union read it.
     edges_b = F.broadcast(
         edges_fwd.withColumn("eside", F.lit("F")).unionByName(
             edges_bwd.withColumn("eside", F.lit("B"))
@@ -206,6 +208,8 @@ def enumerate_nodes(
                 local_frame(spark, node_stops, "nid long, stop_v long, provider long")
             )
 
+    cols = ["nid", "path", "last", "len", "budget", "provider"]
+    no_provider = F.lit(None).cast("long").alias("provider")
     frontier = node_tab.select(
         "nid",
         F.array("root").alias("path"),
@@ -214,8 +218,7 @@ def enumerate_nodes(
         "side",
         "budget",
     )
-    results = frontier.select("nid", "path", "last", "len")
-    closed = None
+    results = frontier.select("nid", "path", "last", "len", "budget", no_provider)
     max_budget = max(n.budget for n in nodes)
     for _ in range(max_budget):
         live = frontier.where(F.col("len") < F.col("budget"))
@@ -250,35 +253,67 @@ def enumerate_nodes(
             "budget",
         )
         aggs = {}
-        if stop_df is not None:
+        if stop_df is None:
+            new = new.select("*", no_provider)
+        else:
             new = new.join(
                 stop_df,
                 (new["nid"] == stop_df["nid"]) & (new["last"] == stop_df["stop_v"]),
                 "left",
             ).select(new["nid"], "path", "last", "len", "side", "budget", "provider")
             aggs["closed"] = F.count("provider")
+            aggs["closers"] = F.collect_set(
+                F.when(F.col("provider").isNotNull(), F.col("nid"))
+            )
         new, seen = checkpoint_counted(new, **aggs)
         stats.levels += 1
         if seen["rows"] == 0:
             break
         stats.expanded_rows += seen["rows"]
+        results = results.unionByName(new.select(cols))
         if stop_df is not None:
             stats.closed_rows += seen["closed"]
-            closed_new = new.where(F.col("provider").isNotNull()).drop("side")
-            closed = closed_new if closed is None else closed.unionByName(closed_new)
-            new = new.where(F.col("provider").isNull()).drop("provider")
-        results = results.unionByName(new.select("nid", "path", "last", "len"))
+            stats.closers.update(seen["closers"])
+            new = new.where(F.col("provider").isNull())
         frontier = new
+    return results.localCheckpoint(eager=True)
 
-    if closed is not None:
-        c = cache.select(
+
+def attach_cached(
+    expanded: DataFrame,
+    topo_levels: list[list[HcsNode]],
+    stops: list[StopRule],
+    closers: set[int],
+) -> DataFrame:
+    """Extend every closed prefix of ``expanded`` by its provider's cached
+    paths (Alg 4 lines 22-23); returns ``(nid, path, last, len)``.
+
+    ``expanded`` is :func:`enumerate_nodes` output over all of Ψ; its open
+    rows start the cache R. Only the concatenation is ordered: for each
+    topological level past the first whose consumers (``closers``) closed
+    a prefix, R[provider] is joined to their closed rows, keeping cached
+    paths of ``clen ≤ budget − len`` hops that do not revisit the prefix.
+    Each level's attachment is checkpointed once and joins R before the
+    next level, so a provider that is itself a consumer is complete when
+    it is read.
+    """
+    cols = ["nid", "path", "last", "len"]
+    paths = expanded.where(F.col("provider").isNull()).select(cols)
+    closed = expanded.where(F.col("provider").isNotNull())
+    for level in topo_levels[1:]:
+        nids = sorted(n.nid for n in level if n.nid in closers)
+        if not nids:
+            continue
+        providers = sorted({s.provider for s in stops if s.nid in nids})
+        cache = paths.where(F.col("nid").isin(providers)).select(
             F.col("nid").alias("provider"),
             F.col("path").alias("cpath"),
             F.col("len").alias("clen"),
             F.col("last").alias("clast"),
         )
         attached = (
-            closed.join(c, "provider")
+            closed.where(F.col("nid").isin(nids))
+            .join(cache, "provider")
             .where(F.col("clen") <= F.col("budget") - F.col("len"))
             .withColumn("ctail", F.expr("slice(cpath, 2, clen)"))
             .where(~F.expr("arrays_overlap(path, ctail)"))
@@ -289,8 +324,8 @@ def enumerate_nodes(
                 (F.col("len") + F.col("clen")).cast("int").alias("len"),
             )
         )
-        results = results.unionByName(attached)
-    return results.localCheckpoint(eager=True)
+        paths = paths.unionByName(attached.localCheckpoint(eager=True))
+    return paths
 
 
 def assemble(
@@ -305,7 +340,8 @@ def assemble(
     keyed ``bnid``). Output: ``(qid, path)`` with ``path`` the full vertex
     array from s to t. Duplicate-free split per DESIGN.md §2:
 
-    * hops < a  → forward path already ending at t;
+    * 1 ≤ hops < a → forward path already ending at t (the zero-length
+      seed ends at t only when s = t, and no query has a 0-hop answer);
     * hops ≥ a → forward prefix of exactly ``a`` hops ⋈ backward suffix
       (including the zero-length ``[t]``) on the meeting vertex, filtered
       for vertex-disjointness.
@@ -326,7 +362,9 @@ def assemble(
         F.col("len").alias("flen"),
     )
     part1 = fwd.where(
-        (F.col("flen") < F.col("a")) & (F.col("flast") == F.col("t"))
+        (F.col("flen") >= 1)
+        & (F.col("flen") < F.col("a"))
+        & (F.col("flast") == F.col("t"))
     ).select("qid", F.col("fpath").alias("path"))
 
     fexact = fwd.where(F.col("flen") == F.col("a"))

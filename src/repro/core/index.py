@@ -125,7 +125,8 @@ def index_counts(index: DataFrame) -> dict[int, dict[int, int]]:
 
 
 def collect_dists(index: DataFrame) -> dict[int, dict[int, int]]:
-    """Driver-side ``{root: {v: dist}}`` — used by Alg 3's detection wave."""
+    """Driver-side ``{root: {v: dist}}`` — BatchEnum's Γ sets (μ) and Alg 3's
+    detection wave both read it."""
     pdf = index.toPandas()
     out: dict[int, dict[int, int]] = {}
     for root, v, dist in zip(pdf["root"], pdf["v"], pdf["dist"]):

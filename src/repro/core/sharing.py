@@ -208,9 +208,9 @@ class _Detector:
         push the longest provider chain past ``max_depth``.
 
         The depth cap bounds the number of sequential topological levels the
-        enumeration phase must schedule — deep chains each cost a Spark job
-        round while the bulk of the sharing benefit sits in the first levels
-        (DESIGN.md §2)."""
+        enumeration phase must schedule — each level past the first costs
+        one attach join, while the bulk of the sharing benefit sits in the
+        first levels (DESIGN.md §2)."""
         if provider == consumer or self._reaches(consumer, provider):
             return False
         if (
@@ -431,8 +431,8 @@ def _stop_rules(plan: ExecPlan) -> list[StopRule]:
 
 
 def _topo_levels(plan: ExecPlan) -> list[list[HcsNode]]:
-    """Group Ψ's HC-s nodes into waves of provider-complete levels; each
-    level is one batched Spark enumeration in BatchEnum."""
+    """Group Ψ's HC-s nodes into waves of provider-complete levels; BatchEnum
+    attaches cached paths to each level's stopped prefixes in this order."""
     nodes = {n.nid: n for n in plan.nodes}
     in_deg: dict[int, int] = {n.nid: 0 for n in plan.nodes}
     out: dict[int, list[int]] = defaultdict(list)

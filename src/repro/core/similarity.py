@@ -2,64 +2,42 @@
 
 Γ(q)/Γ_r(q) are reach sets within ``q.k`` hops of ``q.s`` on G / ``q.t`` on
 ``G_r`` (Def 4.4). Crucially — as the paper notes — these are *not* computed
-specially: they are exactly the rows the index BFS already produced, so
-:func:`gamma_sets` just filters the index DataFrame. Pairwise intersection
-sizes come from one (qid, v) self-join; the μ arithmetic on |Q|²-sized
-counts runs on the driver.
+specially: they are exactly the rows the index BFS already produced. BatchEnum
+collects the index to the driver once, as ``{root: {v: dist}}`` maps
+(``repro.core.index.collect_dists``) that Alg 3's detection also reads, so
+:func:`gamma_sets` and the |Q|²-sized μ arithmetic run on the driver from
+them with no Spark job.
 """
 from __future__ import annotations
 
 import itertools
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
 from repro.core.queries import Query
-from repro.graph.ops import local_frame
+
+DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
 
-def gamma_members(index: DataFrame, queries: list[Query], *, by_target: bool) -> DataFrame:
-    """(qid, v) membership rows of Γ_r (``by_target``) or Γ from the index.
+def gamma_sets(
+    dists: DistMap, queries: list[Query], *, by_target: bool
+) -> dict[int, set[int]]:
+    """``{qid: Γ_r(q)}`` (``by_target``) or ``{qid: Γ(q)}`` from index maps.
 
-    ``index`` must be the forward index (roots = sources) when
-    ``by_target=False`` and the backward index (roots = targets) otherwise.
+    ``dists`` must be collected from the forward index (roots = sources)
+    when ``by_target=False`` and from the backward index (roots = targets)
+    otherwise, with depth ≥ every ``q.k``.
     """
-    root_of = [(q.qid, q.t if by_target else q.s, q.k) for q in queries]
-    qmap = F.broadcast(
-        local_frame(index.sparkSession, root_of, "qid long, r long, k int")
-    )
-    return (
-        index.join(qmap, index["root"] == qmap["r"])
-        .where(F.col("dist") <= F.col("k"))
-        .select("qid", "v")
-        .distinct()
-    )
+    out = {}
+    for q in queries:
+        reach = dists.get(q.t if by_target else q.s, {})
+        out[q.qid] = {v for v, d in reach.items() if d <= q.k}
+    return out
 
 
-def _sizes_and_intersections(members: DataFrame) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Collect the (qid, v) membership rows once and intersect on the driver.
-
-    The membership table is |Q| × k-hop-reach ≈ 10⁴–10⁵ rows — metadata-
-    sized — so a driver set-intersection beats a Spark self-join (whose
-    fixed shuffle cost would dominate BatchEnum's sharing overhead)."""
-    pdf = members.toPandas()
-    sets: dict[int, set[int]] = {}
-    for qid, v in zip(pdf["qid"].tolist(), pdf["v"].tolist()):
-        sets.setdefault(int(qid), set()).add(int(v))
-    sizes = {q: len(s) for q, s in sets.items()}
-    inter: dict[tuple[int, int], int] = {}
-    for qa, qb in itertools.combinations(sorted(sets), 2):
-        n = len(sets[qa] & sets[qb])
-        if n:
-            inter[(qa, qb)] = n
-    return sizes, inter
-
-
-def _coeff(sa: int, sb: int, inter: int) -> float:
+def _coeff(a: set[int], b: set[int]) -> float:
     """Overlap coefficient |A∩B| / min(|A|, |B|) ∈ [0, 1]."""
-    if inter == 0 or sa == 0 or sb == 0:
+    if not a or not b:
         return 0.0
-    return inter / min(sa, sb)
+    return len(a & b) / min(len(a), len(b))
 
 
 def mu_from_coeffs(cf: float, cb: float) -> float:
@@ -72,17 +50,18 @@ def mu_from_coeffs(cf: float, cb: float) -> float:
 
 
 def pairwise_mu(
-    fwd_index: DataFrame, bwd_index: DataFrame, queries: list[Query]
+    dist_from_s: DistMap, dist_to_t: DistMap, queries: list[Query]
 ) -> dict[tuple[int, int], float]:
-    """μ for every unordered query pair, keyed ``(qa, qb)`` with qa < qb."""
-    gf = gamma_members(fwd_index, queries, by_target=False)
-    gb = gamma_members(bwd_index, queries, by_target=True)
-    fs, fi = _sizes_and_intersections(gf)
-    bs, bi = _sizes_and_intersections(gb)
+    """μ for every unordered query pair, keyed ``(qa, qb)`` with qa < qb.
+
+    ``dist_from_s`` / ``dist_to_t`` are the collected forward / backward
+    index maps (:func:`repro.core.index.collect_dists`)."""
+    gf = gamma_sets(dist_from_s, queries, by_target=False)
+    gb = gamma_sets(dist_to_t, queries, by_target=True)
     out: dict[tuple[int, int], float] = {}
-    for qa, qb in itertools.combinations(sorted(q.qid for q in queries), 2):
-        cf = _coeff(fs.get(qa, 0), fs.get(qb, 0), fi.get((qa, qb), 0))
-        cb = _coeff(bs.get(qa, 0), bs.get(qb, 0), bi.get((qa, qb), 0))
+    for qa, qb in itertools.combinations(sorted(gf), 2):
+        cf = _coeff(gf[qa], gf[qb])
+        cb = _coeff(gb[qa], gb[qb])
         out[(qa, qb)] = mu_from_coeffs(cf, cb)
     return out
 

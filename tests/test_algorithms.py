@@ -104,8 +104,8 @@ class TestPaperBatchCorrectness:
     @pytest.mark.parametrize(
         "algo,want",
         [
-            ("batch", EnumStats(expanded_rows=28, closed_rows=8, levels=5)),
-            ("batch+", EnumStats(expanded_rows=29, closed_rows=5, levels=5)),
+            ("batch", EnumStats(expanded_rows=28, closed_rows=8, levels=3)),
+            ("batch+", EnumStats(expanded_rows=29, closed_rows=5, levels=3)),
             ("basic", EnumStats(expanded_rows=40, closed_rows=0, levels=3)),
             ("basic+", EnumStats(expanded_rows=40, closed_rows=0, levels=3)),
         ],
@@ -113,6 +113,7 @@ class TestPaperBatchCorrectness:
     def test_work_counts_pinned(self, paper_runs, algo, want):
         # Recorded before the counts moved onto per-hop observations; the
         # benchmark's per-layer rows/closed_rows/hops read these fields.
+        # ``levels`` counts hop rounds: BatchEnum expands all of Ψ in one loop.
         assert paper_runs[algo].stats == want
         assert paper_runs[algo].extras["n_paths"] == 11
 
@@ -153,6 +154,32 @@ class TestTinyBatchCorrectness:
         )
 
 
+class TestPsiChains:
+    """TINY seed 2 plans Ψ in 4 topological levels: a level-2 node's
+    provider sits in level 1, so it is itself a consumer, and its cached
+    paths must be complete before its own consumers attach them."""
+
+    @pytest.fixture(scope="class")
+    def chain_queries(self, tiny_adj):
+        return gen_queries(tiny_adj, 10, k_range=(3, 5), share=0.5, seed=2)
+
+    @pytest.mark.parametrize("depth", [{}, {"max_depth": 2}], ids=["default", "depth2"])
+    def test_matches_reference(self, spark, tiny_edges, tiny_adj, chain_queries, depth):
+        rr = run_batch(spark, tiny_edges, chain_queries, gamma=0.5, **depth)
+        if not depth:
+            assert rr.extras["n_levels"] >= 3
+        want = {
+            q.qid: ref.enum_st_paths(tiny_adj, q.s, q.t, q.k) for q in chain_queries
+        }
+        assert by_query(rr, chain_queries) == want
+
+
+RUNNERS = pytest.mark.parametrize(
+    "run", [run_pathenum, run_basic, run_batch, run_dksp, run_onepass],
+    ids=["pathenum", "basic", "batch", "dksp", "onepass"],
+)
+
+
 class TestDegenerateBatches:
     def test_single_query(self, spark, paper_edges, paper_adj):
         q = [Query(0, 0, 11, 5)]
@@ -191,12 +218,23 @@ class TestDegenerateBatches:
         for q in qs:
             assert got[q.qid] == ref.enum_st_paths(paper_adj, 0, 11, q.k), q
 
-    @pytest.mark.parametrize(
-        "run", [run_pathenum, run_basic, run_batch, run_dksp, run_onepass],
-        ids=["pathenum", "basic", "batch", "dksp", "onepass"],
-    )
+    @RUNNERS
     def test_empty_batch(self, spark, paper_edges, run):
         rr = run(spark, paper_edges, [])
         assert rr.results.columns == ["qid", "path"]
         assert rr.results.count() == 0
         assert rr.extras["n_paths"] == 0
+
+    @RUNNERS
+    def test_source_is_target(self, spark, paper_edges, paper_adj, run):
+        # A simple path of ≥ 1 hop never returns to s, and no query has a
+        # zero-hop answer: s == t yields nothing, alone or in a batch.
+        alone = [Query(0, 3, 3, 4)]
+        rr = run(spark, paper_edges, alone)
+        assert by_query(rr, alone) == {0: set()}
+        assert rr.extras["n_paths"] == 0
+        beside = [Query(0, 3, 3, 4), Query(1, 0, 11, 5)]
+        rr = run(spark, paper_edges, beside)
+        want = ref.enum_st_paths(paper_adj, 0, 11, 5)
+        assert by_query(rr, beside) == {0: set(), 1: want}
+        assert rr.extras["n_paths"] == len(want)

@@ -73,7 +73,7 @@ class TestClusterQueries:
         assert len(lo) <= len(hi)
 
     def test_paper_example_clustering(self, spark, paper_edges):
-        from repro.core.index import multi_source_bfs
+        from repro.core.index import collect_dists, multi_source_bfs
         from repro.core.similarity import pairwise_mu
         from repro.graph.ops import reverse_edges
         from tests.test_similarity import PAPER_Q
@@ -82,6 +82,6 @@ class TestClusterQueries:
         bwd = multi_source_bfs(
             spark, reverse_edges(paper_edges), [q.t for q in PAPER_Q], 5
         )
-        mu = pairwise_mu(fwd, bwd, PAPER_Q)
+        mu = pairwise_mu(collect_dists(fwd), collect_dists(bwd), PAPER_Q)
         # Example 4.1 (γ = 0.8): {q0, q1, q2} and {q3, q4}
         assert cluster_queries(mu, [0, 1, 2, 3, 4], 0.8) == [[0, 1, 2], [3, 4]]

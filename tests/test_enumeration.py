@@ -1,4 +1,5 @@
-"""Enumeration primitives: HC-s node expansion, pruning, stops/cache, ⊕."""
+"""Enumeration primitives: HC-s node expansion, pruning, stops + cache
+attachment, ⊕."""
 from __future__ import annotations
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.enumeration import (
     QueryPlan,
     StopRule,
     assemble,
+    attach_cached,
     empty_paths,
     enumerate_nodes,
     paths_as_strings,
@@ -176,48 +178,42 @@ class TestPrunedEnumeration:
         assert node_paths(only_11, 0) <= node_paths(both, 0)
 
 
+def expand_then_attach(spark, edges, rev, provider, consumer):
+    """Expand ``provider`` and ``consumer`` in one hop loop, the consumer
+    stopping at the provider's root, then attach the provider's paths."""
+    stats = EnumStats()
+    stops = [StopRule(consumer.nid, provider.root, provider.nid)]
+    expanded = enumerate_nodes(
+        spark, edges, rev, [provider, consumer], [],
+        empty_paths(spark), empty_paths(spark), stops=stops, stats=stats,
+    )
+    return attach_cached(expanded, [[provider], [consumer]], stops, stats.closers)
+
+
 class TestStopsAndCache:
     def test_stop_concatenates_cached_paths(
         self, spark, paper_edges, paper_rev, paper_adj
     ):
         # Provider: q_{v1,2,G}; consumer: q_{v0,3,G} stopping at v1.
-        provider = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(1, 1, 2, "F")], [],
-            empty_paths(spark), empty_paths(spark),
+        got = expand_then_attach(
+            spark, paper_edges, paper_rev, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
         )
-        consumer = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(0, 0, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-            stops=[StopRule(0, 1, 1)], cache=provider,
-        )
-        assert node_paths(consumer, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
+        assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
 
     def test_stop_bare_prefix_emitted(self, spark, paper_edges, paper_rev):
         # the zero-length cached path must surface the stopped prefix itself
-        provider = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(1, 1, 2, "F")], [],
-            empty_paths(spark), empty_paths(spark),
+        got = expand_then_attach(
+            spark, paper_edges, paper_rev, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
         )
-        consumer = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(0, 0, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-            stops=[StopRule(0, 1, 1)], cache=provider,
-        )
-        assert (0, 1) in node_paths(consumer, 0)
+        assert (0, 1) in node_paths(got, 0)
 
     def test_cache_length_filter(self, spark, paper_edges, paper_rev, paper_adj):
         # provider budget 3 > remaining 2 at attach: longer cached paths
         # must be filtered, result equals plain budget-3 enumeration.
-        provider = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(1, 1, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
+        got = expand_then_attach(
+            spark, paper_edges, paper_rev, HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 3, "F")
         )
-        consumer = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(0, 0, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-            stops=[StopRule(0, 1, 1)], cache=provider,
-        )
-        assert node_paths(consumer, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
+        assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
 
     def test_overlap_with_prefix_filtered(self, spark):
         # graph 0->1->0 cycles: cached provider paths revisiting the prefix
@@ -226,18 +222,12 @@ class TestStopsAndCache:
 
         edges = edges_from_list(spark, [(0, 1), (1, 0), (1, 2)])
         rev = reverse_edges(edges)
-        provider = enumerate_nodes(
-            spark, edges, rev, [HcsNode(1, 1, 2, "F")], [],
-            empty_paths(spark), empty_paths(spark),
+        got = expand_then_attach(
+            spark, edges, rev, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
         )
-        assert (1, 0) in node_paths(provider, 1)
-        consumer = enumerate_nodes(
-            spark, edges, rev, [HcsNode(0, 0, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-            stops=[StopRule(0, 1, 1)], cache=provider,
-        )
+        assert (1, 0) in node_paths(got, 1)
         adj = {0: [1], 1: [0, 2]}
-        assert node_paths(consumer, 0) == ref.enum_hcs_paths(adj, 0, 3)
+        assert node_paths(got, 0) == ref.enum_hcs_paths(adj, 0, 3)
 
 
 class TestAssemble:

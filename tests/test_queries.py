@@ -48,7 +48,7 @@ class TestGenQueries:
         assert n_endpoints(hi) < n_endpoints(lo)
 
     def test_share_raises_batch_similarity(self, spark, small_edges, small_adj):
-        from repro.core.index import multi_source_bfs
+        from repro.core.index import collect_dists, multi_source_bfs
         from repro.core.similarity import batch_similarity, pairwise_mu
         from repro.graph.ops import reverse_edges
 
@@ -59,7 +59,8 @@ class TestGenQueries:
             bwd = multi_source_bfs(
                 spark, reverse_edges(small_edges), [q.t for q in qs], k
             )
-            return batch_similarity(pairwise_mu(fwd, bwd, qs), len(qs))
+            mu = pairwise_mu(collect_dists(fwd), collect_dists(bwd), qs)
+            return batch_similarity(mu, len(qs))
 
         assert mu_q(0.9) > mu_q(0.0)
 

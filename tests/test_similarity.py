@@ -1,5 +1,5 @@
-"""Similarity (Defs 4.4-4.6): μ math, Γ membership from the index, and the
-paper's Example 4.1 values."""
+"""Similarity (Defs 4.4-4.6): μ math, Γ membership from the collected index,
+and the paper's Example 4.1 values."""
 from __future__ import annotations
 
 import math
@@ -7,11 +7,11 @@ import math
 import pytest
 
 from repro.core import ref_engine as ref
-from repro.core.index import multi_source_bfs
+from repro.core.index import collect_dists, multi_source_bfs
 from repro.core.queries import Query
 from repro.core.similarity import (
     batch_similarity,
-    gamma_members,
+    gamma_sets,
     group_similarity,
     mu_from_coeffs,
     pairwise_mu,
@@ -53,7 +53,7 @@ class TestMuFromCoeffs:
 def paper_mu(spark, paper_edges):
     fwd = multi_source_bfs(spark, paper_edges, [q.s for q in PAPER_Q], 5)
     bwd = multi_source_bfs(spark, reverse_edges(paper_edges), [q.t for q in PAPER_Q], 5)
-    return pairwise_mu(fwd, bwd, PAPER_Q)
+    return pairwise_mu(collect_dists(fwd), collect_dists(bwd), PAPER_Q)
 
 
 class TestPaperExample41:
@@ -85,28 +85,19 @@ class TestPaperExample41:
 class TestGammaMembers:
     def test_matches_ref_reach_sets(self, spark, paper_edges, paper_adj):
         fwd = multi_source_bfs(spark, paper_edges, [q.s for q in PAPER_Q], 5)
-        got = gamma_members(fwd, PAPER_Q, by_target=False).collect()
-        by_q: dict[int, set[int]] = {}
-        for r in got:
-            by_q.setdefault(r["qid"], set()).add(r["v"])
+        by_q = gamma_sets(collect_dists(fwd), PAPER_Q, by_target=False)
         for q in PAPER_Q:
             assert by_q[q.qid] == set(ref.reach_set(paper_adj, q.s, q.k)), q
 
     def test_gamma_q3_paper_listing(self, spark, paper_edges):
         fwd = multi_source_bfs(spark, paper_edges, [4], 4)
-        got = {
-            r["v"]
-            for r in gamma_members(fwd, [Query(3, 4, 14, 4)], by_target=False).collect()
-        }
+        got = gamma_sets(collect_dists(fwd), [Query(3, 4, 14, 4)], by_target=False)[3]
         # Example 4.1: Γ(q3) = {v4,v9,v3,v8,v15,v6,v11,v13,v14}
         assert got == {4, 9, 3, 8, 15, 6, 11, 13, 14}
 
     def test_gamma_q4_paper_listing(self, spark, paper_edges):
         fwd = multi_source_bfs(spark, paper_edges, [9], 3)
-        got = {
-            r["v"]
-            for r in gamma_members(fwd, [Query(4, 9, 14, 3)], by_target=False).collect()
-        }
+        got = gamma_sets(collect_dists(fwd), [Query(4, 9, 14, 3)], by_target=False)[4]
         assert got == {9, 3, 8, 15, 6, 11, 13, 14}
 
 
