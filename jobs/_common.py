@@ -1,9 +1,9 @@
 """Shared plumbing for the spark-submit entrypoints in jobs/.
 
 Each job wraps one experiment runner from ``repro.harness.experiments``:
-it builds (or reuses) a SparkSession, runs the experiment with CLI-chosen
-parameters, and prints the result rows as a markdown table — the same rows
-recorded in EXPERIMENTS.md.
+it builds (or reuses) a SparkSession with ``repro.session``, runs the
+experiment with CLI-chosen parameters, and prints the result rows as a
+markdown table — the same rows recorded in EXPERIMENTS.md.
 
 Usage: ``spark-submit jobs/exp1_similarity.py --datasets EP SL`` or simply
 ``python jobs/exp1_similarity.py`` (local mode).
@@ -11,18 +11,6 @@ Usage: ``spark-submit jobs/exp1_similarity.py --datasets EP SL`` or simply
 from __future__ import annotations
 
 import argparse
-
-from pyspark.sql import SparkSession
-
-
-def session(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
 
 
 def base_parser(desc: str) -> argparse.ArgumentParser:

@@ -1,7 +1,8 @@
 """Exp-1 (Fig 7): processing time & speedup vs batch similarity."""
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp1_similarity
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ The EXPERIMENTS.md large-|Q| supplement is:
 """
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp2_query_set_size
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exp-3 (Fig 9): BatchEnum+ stage decomposition."""
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp3_decomposition
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exp-4 (Fig 10): efficiency vs clustering threshold gamma."""
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp4_gamma
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exp-5 (Fig 11): scalability on vertex samples of the largest graphs."""
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp5_scalability
 
 if __name__ == "__main__":

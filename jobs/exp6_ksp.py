@@ -1,7 +1,8 @@
 """Exp-6 (Fig 12): comparison with adapted k-shortest-path algorithms."""
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp6_ksp
 
 if __name__ == "__main__":

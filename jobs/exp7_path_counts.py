@@ -1,7 +1,8 @@
 """Exp-7 (Fig 13): average number of HC-s-t paths per query vs k."""
 import sys, pathlib
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import base_parser, emit, session
+from _common import base_parser, emit
+from repro import session
 from repro.harness.experiments import exp7_path_counts
 
 if __name__ == "__main__":

@@ -6,3 +6,23 @@ enumeration engine, the paper's Algorithms 1-4), ``baselines`` (adapted
 k-shortest-path competitors), ``harness`` (experiment runners for every
 evaluation table). See DESIGN.md for the paper→Spark mapping.
 """
+
+
+def session(app: str):
+    """The SparkSession every entry point shares (tests and ``jobs/``).
+
+    Master and driver memory are launch settings (``PYSPARK_SUBMIT_ARGS``
+    or ``spark-submit``). The settings made here take effect on a running
+    JVM: 64 shuffle partitions, Arrow for pandas conversion, and no
+    automatic broadcast joins — the code marks every broadcast it wants
+    (DESIGN.md §2), so the remaining joins exercise the shuffle path.
+    """
+    from pyspark.sql import SparkSession
+
+    return (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )

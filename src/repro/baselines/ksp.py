@@ -39,18 +39,10 @@ def _run_unpruned(
     rev = reverse_edges(edges)
     with timer.stage("enumeration"):
         plan = build_basic_plan(queries, splits)
-        plan.prune_pairs = []  # the adaptation: no HC-specific index pruning
-        paths = enumerate_nodes(
-            spark, edges, rev, plan.nodes, plan.prune_pairs,
-            _empty_index(spark), _empty_index(spark),
-            stats=stats,
-        )
+        # the adaptation: no allow table, so no HC-specific index pruning
+        paths = enumerate_nodes(spark, edges, rev, plan.nodes, None, stats=stats)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
     return RunResult(results, timer.seconds, stats, {"n_paths": seen["rows"]})
-
-
-def _empty_index(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], "root long, v long, dist int")
 
 
 def run_onepass(

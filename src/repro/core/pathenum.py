@@ -13,7 +13,13 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import index as idx
 from repro.core.basic_enum import RunResult
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
+from repro.core.enumeration import (
+    EnumStats,
+    assemble,
+    build_allow,
+    enumerate_nodes,
+    no_paths,
+)
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split
 from repro.graph.ops import checkpoint_counted, reverse_edges
@@ -38,12 +44,14 @@ def run_pathenum(
             fwd_index, bwd_index = idx.bidirectional_index(
                 spark, edges, rev, [q.s], [q.t], q.k
             )
+            dist_from_s = idx.collect_dists(fwd_index)
+            dist_to_t = idx.collect_dists(bwd_index)
         with timer.stage("enumeration"):
             plan = build_basic_plan([q], {q.qid: default_split(q)})
-            paths = enumerate_nodes(
-                spark, edges, rev, plan.nodes, plan.prune_pairs,
-                fwd_index, bwd_index, stats=stats,
+            allow = build_allow(
+                spark, plan.nodes, plan.prune_pairs, dist_from_s, dist_to_t
             )
+            paths = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
             res, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
             n_paths += seen["rows"]
         per_query.append(res)

@@ -26,11 +26,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.core.enumeration import HcsNode, QueryPlan, StopRule
+from repro.core.enumeration import DistMap, HcsNode, QueryPlan, StopRule
 from repro.core.queries import Query
 
 Adj = dict[int, list[int]]
-DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,6 @@ class ExecPlan:
     prune_pairs: list[tuple[int, int, int]] = field(default_factory=list)
     stops: list[StopRule] = field(default_factory=list)
     topo_levels: list[list[HcsNode]] = field(default_factory=list)
-
-    def node(self, nid: int) -> HcsNode:
-        return next(n for n in self.nodes if n.nid == nid)
 
 
 def default_split(q: Query) -> int:
@@ -335,6 +331,7 @@ def build_shared_plan(
     plan = ExecPlan()
     nid = 0
     all_pairs: dict[int, dict[int, int]] = defaultdict(dict)
+    fnid: dict[int, int] = {}  # qid -> forward node, kept for the B pass
     for cluster in clusters:
         qs = [by_qid[qid] for qid in cluster]
         for side, graph, dist_far in (("F", adj, dist_to_t), ("B", radj, dist_from_s)):
@@ -353,7 +350,6 @@ def build_shared_plan(
                 node_of_root[root] = n
                 pairs = []
                 for q in qs:
-                    a = splits[q.qid]
                     if side == "F" and q.s == root:
                         pairs.append((q.t, q.k))
                     elif side == "B" and q.t == root:
@@ -368,20 +364,13 @@ def build_shared_plan(
                     if cap > all_pairs[n_id].get(t, -(10**9)):
                         all_pairs[n_id][t] = cap
             for q in qs:
-                a = splits[q.qid]
                 if side == "F":
-                    _fn = node_of_root[q.s]
-                    plan.plans.append(
-                        QueryPlan(q.qid, q.s, q.t, q.k, a, _fn.nid, -1)
-                    )
+                    fnid[q.qid] = node_of_root[q.s].nid
                 else:
-                    bn = node_of_root[q.t]
-                    for i, p in enumerate(plan.plans):
-                        if p.qid == q.qid and p.bnid == -1:
-                            plan.plans[i] = QueryPlan(
-                                p.qid, p.s, p.t, p.k, p.a, p.fnid, bn.nid
-                            )
-                            break
+                    plan.plans.append(QueryPlan(
+                        q.qid, q.s, q.t, q.k, splits[q.qid],
+                        fnid[q.qid], node_of_root[q.t].nid,
+                    ))
     _propagate_pairs(plan, all_pairs)
     plan.prune_pairs = [
         (n_id, t, cap)

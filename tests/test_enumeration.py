@@ -13,11 +13,12 @@ from repro.core.enumeration import (
     StopRule,
     assemble,
     attach_cached,
+    build_allow,
     empty_paths,
     enumerate_nodes,
     paths_as_strings,
 )
-from repro.core.index import multi_source_bfs
+from repro.core.index import bidirectional_index, collect_dists
 from repro.graph.ops import reverse_edges
 from repro.oracle import assert_equivalent
 from tests.sqlgen import hcs_paths_sql
@@ -33,13 +34,18 @@ def paper_rev(paper_edges):
 
 
 @pytest.fixture(scope="module")
-def paper_bwd_index(spark, paper_rev):
-    return multi_source_bfs(spark, paper_rev, [11, 12, 13, 14], 5)
+def paper_dists(spark, paper_edges, paper_rev):
+    """``(dist_from_s, dist_to_t)`` maps of the paper queries' index."""
+    fwd, bwd = bidirectional_index(
+        spark, paper_edges, paper_rev, [0, 2, 5, 4, 9], [11, 12, 13, 14], 5
+    )
+    return collect_dists(fwd), collect_dists(bwd)
 
 
-@pytest.fixture(scope="module")
-def paper_fwd_index(spark, paper_edges):
-    return multi_source_bfs(spark, paper_edges, [0, 2, 5, 4, 9], 5)
+def pruned(spark, edges, rev, nodes, prune_pairs, dists):
+    """``enumerate_nodes`` under the allow table of ``prune_pairs``."""
+    allow = build_allow(spark, nodes, prune_pairs, *dists)
+    return enumerate_nodes(spark, edges, rev, nodes, allow)
 
 
 class TestUnprunedHcsEnumeration:
@@ -50,42 +56,29 @@ class TestUnprunedHcsEnumeration:
         stats = EnumStats()
         got = enumerate_nodes(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, root, budget, "F")], [],
-            empty_paths(spark), empty_paths(spark), stats=stats,
+            [HcsNode(0, root, budget, "F")], None, stats=stats,
         )
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, root, budget)
         assert stats.expanded_rows >= len(ref.enum_hcs_paths(paper_adj, root, budget)) - 1
 
     def test_against_duckdb_oracle(self, spark, paper_edges, paper_rev, paper_pdf):
-        got = enumerate_nodes(
-            spark, paper_edges, paper_rev,
-            [HcsNode(0, 0, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-        )
+        got = enumerate_nodes(spark, paper_edges, paper_rev, [HcsNode(0, 0, 3, "F")], None)
         rendered = got.select(F.concat_ws("-", "path").alias("path_s"))
         assert_equivalent(rendered, hcs_paths_sql(0, 3), edges=paper_pdf)
 
     def test_backward_side_uses_reverse_graph(self, spark, paper_edges, paper_rev, paper_radj):
-        got = enumerate_nodes(
-            spark, paper_edges, paper_rev,
-            [HcsNode(0, 11, 2, "B")], [],
-            empty_paths(spark), empty_paths(spark),
-        )
+        got = enumerate_nodes(spark, paper_edges, paper_rev, [HcsNode(0, 11, 2, "B")], None)
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_radj, 11, 2)
 
     def test_budget_zero_only_seed(self, spark, paper_edges, paper_rev):
-        got = enumerate_nodes(
-            spark, paper_edges, paper_rev,
-            [HcsNode(0, 14, 0, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-        )
+        got = enumerate_nodes(spark, paper_edges, paper_rev, [HcsNode(0, 14, 0, "F")], None)
         assert node_paths(got, 0) == {(14,)}
 
     def test_multiple_nodes_batched(self, spark, paper_edges, paper_rev, paper_adj, paper_radj):
         got = enumerate_nodes(
             spark, paper_edges, paper_rev,
             [HcsNode(0, 0, 2, "F"), HcsNode(1, 2, 2, "F"), HcsNode(2, 13, 2, "B")],
-            [], empty_paths(spark), empty_paths(spark),
+            None,
         )
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 2)
         assert node_paths(got, 1) == ref.enum_hcs_paths(paper_adj, 2, 2)
@@ -94,10 +87,7 @@ class TestUnprunedHcsEnumeration:
     def test_paths_simple(self, spark, tiny_edges, tiny_adj):
         rev = reverse_edges(tiny_edges)
         root = sorted(tiny_adj)[0]
-        got = enumerate_nodes(
-            spark, tiny_edges, rev, [HcsNode(0, root, 3, "F")], [],
-            empty_paths(spark), empty_paths(spark),
-        )
+        got = enumerate_nodes(spark, tiny_edges, rev, [HcsNode(0, root, 3, "F")], None)
         for r in got.collect():
             p = tuple(r["path"])
             assert len(set(p)) == len(p)
@@ -106,13 +96,12 @@ class TestUnprunedHcsEnumeration:
 
 class TestPrunedEnumeration:
     def test_prune_drops_unreachable_branches(
-        self, spark, paper_edges, paper_rev, paper_bwd_index, paper_adj
+        self, spark, paper_edges, paper_rev, paper_dists, paper_adj
     ):
         # Node for q3(v4,v14,4) forward half: budget 2, target 14, cap 4.
-        got = enumerate_nodes(
+        got = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 4, 2, "F")], [(0, 14, 4)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 4, 2, "F")], [(0, 14, 4)], paper_dists,
         )
         paths = node_paths(got, 0)
         # (4,9,8) is pruned: dist(8,14)=∞ (Example 3.1)
@@ -120,12 +109,11 @@ class TestPrunedEnumeration:
         assert {(4,), (4, 9), (4, 9, 3), (4, 9, 15)} <= paths
 
     def test_prune_keeps_everything_needed(
-        self, spark, paper_edges, paper_rev, paper_bwd_index, paper_adj
+        self, spark, paper_edges, paper_rev, paper_dists, paper_adj
     ):
-        got = enumerate_nodes(
+        got = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 4, 2, "F")], [(0, 14, 4)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 4, 2, "F")], [(0, 14, 4)], paper_dists,
         )
         # every pruned-enumeration path must be a prefix of some ≤4-hop
         # path from 4 to 14
@@ -134,48 +122,89 @@ class TestPrunedEnumeration:
             assert any(f[: len(p)] == p for f in full), p
 
     def test_example_31_prune_at_v15(
-        self, spark, paper_edges, paper_rev, paper_bwd_index
+        self, spark, paper_edges, paper_rev, paper_dists
     ):
         # Example 3.1: with prefix (v4,v9,v3), extension v15 is pruned
         # (2 + 1 + dist(15,14)=2 > 4). Full budget-3 node shows the cut.
-        got = enumerate_nodes(
+        got = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 4, 3, "F")], [(0, 14, 4)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 4, 3, "F")], [(0, 14, 4)], paper_dists,
         )
         paths = node_paths(got, 0)
         assert (4, 9, 3, 15) not in paths
         assert (4, 9, 3, 6) in paths
 
     def test_looser_cap_explores_more(
-        self, spark, paper_edges, paper_rev, paper_bwd_index
+        self, spark, paper_edges, paper_rev, paper_dists
     ):
-        tight = enumerate_nodes(
+        tight = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 3, 3, "F")], [(0, 14, 4)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 3, 3, "F")], [(0, 14, 4)], paper_dists,
         )
-        loose = enumerate_nodes(
+        loose = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 3, 3, "F")], [(0, 14, 6)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 3, 3, "F")], [(0, 14, 6)], paper_dists,
         )
         assert node_paths(tight, 0) <= node_paths(loose, 0)
 
     def test_multi_target_union_semantics(
-        self, spark, paper_edges, paper_rev, paper_bwd_index
+        self, spark, paper_edges, paper_rev, paper_dists
     ):
-        both = enumerate_nodes(
+        both = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 0, 3, "F")], [(0, 11, 5), (0, 12, 5)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 0, 3, "F")], [(0, 11, 5), (0, 12, 5)], paper_dists,
         )
-        only_11 = enumerate_nodes(
+        only_11 = pruned(
             spark, paper_edges, paper_rev,
-            [HcsNode(0, 0, 3, "F")], [(0, 11, 5)],
-            empty_paths(spark), paper_bwd_index,
+            [HcsNode(0, 0, 3, "F")], [(0, 11, 5)], paper_dists,
         )
         assert node_paths(only_11, 0) <= node_paths(both, 0)
+
+    def test_node_without_pairs_expands_only_its_seed(
+        self, spark, paper_edges, paper_rev, paper_dists
+    ):
+        # Node 1 has no prune pair, so the shared allow table has no row
+        # for it: no extension can serve a query, only [root] is left.
+        paired = HcsNode(0, 4, 2, "F")
+        unpaired = HcsNode(1, 0, 3, "F")
+        both = pruned(
+            spark, paper_edges, paper_rev,
+            [paired, unpaired], [(0, 14, 4)], paper_dists,
+        )
+        alone = pruned(
+            spark, paper_edges, paper_rev, [paired], [(0, 14, 4)], paper_dists,
+        )
+        assert node_paths(both, 1) == {(0,)}
+        assert node_paths(both, 0) == node_paths(alone, 0)
+
+
+class TestBuildAllow:
+    def test_matches_brute_force_on_tiny(self, spark, tiny_edges, tiny_adj, tiny_radj):
+        """Forward nodes read dist_G(·, t), backward nodes dist_G(s, ·); the
+        table holds exactly the (nid, v) with max(cap − dist) ≥ 1."""
+        k_max = 4
+        roots = sorted(tiny_adj)
+        srcs, tgts = roots[:3], roots[-3:]
+        fwd, bwd = bidirectional_index(
+            spark, tiny_edges, reverse_edges(tiny_edges), srcs, tgts, k_max
+        )
+        dists = collect_dists(fwd), collect_dists(bwd)
+        nodes = [HcsNode(0, srcs[0], 2, "F"), HcsNode(1, srcs[1], 3, "F"),
+                 HcsNode(2, tgts[0], 2, "B"), HcsNode(3, tgts[1], 1, "B")]
+        pairs = [(0, tgts[0], 4), (0, tgts[1], 3), (1, tgts[2], 2),
+                 (2, srcs[0], 4), (2, srcs[2], 2), (3, srcs[1], 3)]
+        want: dict[tuple[int, int], int] = {}
+        for nid, t, cap in pairs:
+            far = tiny_radj if nid in (0, 1) else tiny_adj
+            for v, d in ref.bfs_dists(far, t, k_max).items():
+                want[(nid, v)] = max(want.get((nid, v), cap - d), cap - d)
+        want = {key: a for key, a in want.items() if a >= 1}
+        rows = build_allow(spark, nodes, pairs, *dists).collect()
+        assert len(rows) == len(want)
+        assert {(r["nid"], r["v"]): r["allow"] for r in rows} == want
+
+    def test_no_pairs_is_none(self, spark, paper_dists):
+        assert build_allow(spark, [HcsNode(0, 0, 3, "F")], [], *paper_dists) is None
 
 
 def expand_then_attach(spark, edges, rev, provider, consumer):
@@ -184,8 +213,7 @@ def expand_then_attach(spark, edges, rev, provider, consumer):
     stats = EnumStats()
     stops = [StopRule(consumer.nid, provider.root, provider.nid)]
     expanded = enumerate_nodes(
-        spark, edges, rev, [provider, consumer], [],
-        empty_paths(spark), empty_paths(spark), stops=stops, stats=stats,
+        spark, edges, rev, [provider, consumer], None, stops=stops, stats=stats,
     )
     return attach_cached(expanded, [[provider], [consumer]], stops, stats.closers)
 
@@ -233,12 +261,10 @@ class TestStopsAndCache:
 class TestAssemble:
     def _halves(self, spark, paper_edges, paper_rev, q, a):
         fwd = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(0, q[0], a, "F")], [],
-            empty_paths(spark), empty_paths(spark),
+            spark, paper_edges, paper_rev, [HcsNode(0, q[0], a, "F")], None,
         )
         bwd = enumerate_nodes(
-            spark, paper_edges, paper_rev, [HcsNode(1, q[1], q[2] - a, "B")], [],
-            empty_paths(spark), empty_paths(spark),
+            spark, paper_edges, paper_rev, [HcsNode(1, q[1], q[2] - a, "B")], None,
         )
         return fwd.unionByName(bwd)
 

@@ -48,16 +48,16 @@ class TestGenQueries:
         assert n_endpoints(hi) < n_endpoints(lo)
 
     def test_share_raises_batch_similarity(self, spark, small_edges, small_adj):
-        from repro.core.index import collect_dists, multi_source_bfs
+        from repro.core.index import bidirectional_index, collect_dists
         from repro.core.similarity import batch_similarity, pairwise_mu
         from repro.graph.ops import reverse_edges
 
         def mu_q(share):
             qs = gen_queries(small_adj, 12, k_range=(3, 4), share=share, seed=11)
             k = max(q.k for q in qs)
-            fwd = multi_source_bfs(spark, small_edges, [q.s for q in qs], k)
-            bwd = multi_source_bfs(
-                spark, reverse_edges(small_edges), [q.t for q in qs], k
+            fwd, bwd = bidirectional_index(
+                spark, small_edges, reverse_edges(small_edges),
+                [q.s for q in qs], [q.t for q in qs], k,
             )
             mu = pairwise_mu(collect_dists(fwd), collect_dists(bwd), qs)
             return batch_similarity(mu, len(qs))

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core import ref_engine as ref
-from repro.core.index import collect_dists, multi_source_bfs
+from repro.core.index import bidirectional_index, collect_dists
 from repro.core.queries import Query
 from repro.core.similarity import (
     batch_similarity,
@@ -17,6 +17,7 @@ from repro.core.similarity import (
     pairwise_mu,
 )
 from repro.graph.ops import reverse_edges
+from tests.test_index import fwd_index
 
 PAPER_Q = [
     Query(0, 0, 11, 5),
@@ -51,8 +52,10 @@ class TestMuFromCoeffs:
 
 @pytest.fixture(scope="module")
 def paper_mu(spark, paper_edges):
-    fwd = multi_source_bfs(spark, paper_edges, [q.s for q in PAPER_Q], 5)
-    bwd = multi_source_bfs(spark, reverse_edges(paper_edges), [q.t for q in PAPER_Q], 5)
+    fwd, bwd = bidirectional_index(
+        spark, paper_edges, reverse_edges(paper_edges),
+        [q.s for q in PAPER_Q], [q.t for q in PAPER_Q], 5,
+    )
     return pairwise_mu(collect_dists(fwd), collect_dists(bwd), PAPER_Q)
 
 
@@ -84,19 +87,19 @@ class TestPaperExample41:
 
 class TestGammaMembers:
     def test_matches_ref_reach_sets(self, spark, paper_edges, paper_adj):
-        fwd = multi_source_bfs(spark, paper_edges, [q.s for q in PAPER_Q], 5)
+        fwd = fwd_index(spark, paper_edges, [q.s for q in PAPER_Q], 5)
         by_q = gamma_sets(collect_dists(fwd), PAPER_Q, by_target=False)
         for q in PAPER_Q:
             assert by_q[q.qid] == set(ref.reach_set(paper_adj, q.s, q.k)), q
 
     def test_gamma_q3_paper_listing(self, spark, paper_edges):
-        fwd = multi_source_bfs(spark, paper_edges, [4], 4)
+        fwd = fwd_index(spark, paper_edges, [4], 4)
         got = gamma_sets(collect_dists(fwd), [Query(3, 4, 14, 4)], by_target=False)[3]
         # Example 4.1: Γ(q3) = {v4,v9,v3,v8,v15,v6,v11,v13,v14}
         assert got == {4, 9, 3, 8, 15, 6, 11, 13, 14}
 
     def test_gamma_q4_paper_listing(self, spark, paper_edges):
-        fwd = multi_source_bfs(spark, paper_edges, [9], 3)
+        fwd = fwd_index(spark, paper_edges, [9], 3)
         got = gamma_sets(collect_dists(fwd), [Query(4, 9, 14, 3)], by_target=False)[4]
         assert got == {9, 3, 8, 15, 6, 11, 13, 14}
 
