@@ -88,9 +88,7 @@ def run_basic(
         splits = compute_splits(queries, optimized, dist_from_s, dist_to_t)
         plan = build_basic_plan(queries, splits)
         # looked up on its module, where perfbench's trace wraps it
-        allow = enumeration.build_allow(
-            spark, plan.nodes, plan.prune_pairs, dist_from_s, dist_to_t
-        )
+        allow = enumeration.build_allow(spark, plan, dist_from_s, dist_to_t)
         paths = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
     return RunResult(

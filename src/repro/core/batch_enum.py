@@ -10,10 +10,11 @@ Pipeline (Alg 4 lines 1-16):
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
 4. **Enumeration** — all of Ψ's HC-s nodes expand in one batched Spark hop
-   loop whose searches *stop* at provider roots. Then, level by level in
-   topological order, each stopped prefix concatenates its provider's
-   paths from ``R`` (open rows plus earlier levels' attachments). Finally
-   every query's forward and backward HC-s results are ⊕-concatenated.
+   loop whose searches *stop* at provider roots (the allow table's
+   ``provider`` column). Then each stopped prefix concatenates its
+   provider's paths, round by round along the ``provider`` each row
+   carries, until no prefix is left closed. Finally every query's forward
+   and backward HC-s results are ⊕-concatenated.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.
@@ -56,9 +57,9 @@ def run_batch(
 ) -> RunResult:
     """Run Algorithm 4 over the batch; returns all HC-s-t paths per query.
 
-    ``max_depth`` caps Ψ's provider-chain length (= topological levels, each
-    past the first one sequential attach join); see ``repro.core.sharing``
-    for the rationale.
+    ``max_depth`` caps Ψ's provider-chain length (= topological levels);
+    each chain link a closed prefix follows costs one sequential attach
+    round. See ``repro.core.sharing`` for the rationale.
     """
     timer = StageTimer()
     stats = EnumStats()
@@ -96,16 +97,12 @@ def run_batch(
 
     with timer.stage("enumeration"):
         # looked up on its module, where perfbench's trace wraps it
-        allow = enumeration.build_allow(
-            spark, plan.nodes, plan.prune_pairs, dist_from_s, dist_to_t
-        )
+        allow = enumeration.build_allow(spark, plan, dist_from_s, dist_to_t)
         # Expansion never reads the cache R: a consumer's prefix closes at
         # the provider's root whatever R holds. So all of Ψ expands in one
-        # hop loop, and only the concatenation runs in topological order.
-        expanded = enumerate_nodes(
-            spark, edges, rev, plan.nodes, allow, stops=plan.stops, stats=stats
-        )
-        paths = attach_cached(expanded, plan.topo_levels, plan.stops, stats.closers)
+        # hop loop, and the concatenation follows each closed row's provider.
+        expanded = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
+        paths = attach_cached(expanded, stats.closed_rows)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
 
     return RunResult(

@@ -6,14 +6,14 @@ This module is the dataflow core every algorithm shares:
   (Alg 1 lines 9-13 / Alg 4 lines 17-24). Many HC-s path "nodes" (source,
   budget, side) are expanded together, level-synchronously: one join with
   the edge table per hop, one broadcast join with the allow table for
-  Lemma 3.1 pruning, an ``array_contains`` filter for simplicity, and —
-  for BatchEnum — a stop-table join that closes a prefix at a provider's
-  root vertex.
-* :func:`build_allow` — the allow table, built on the driver from the
-  collected distance index maps.
+  Lemma 3.1 pruning, and an ``array_contains`` filter for simplicity. The
+  allow join also yields the ``provider`` of a BatchEnum stop rule, which
+  closes a prefix at that provider's root vertex.
+* :func:`build_allow` — the allow table with its stop-rule column, built on
+  the driver from the collected distance index maps and the plan.
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
-  22-23): the closed prefixes are extended by their provider's paths, one
-  topological level of Ψ at a time.
+  22-23): every closed prefix is extended by its provider's paths, round
+  by round, until no prefix is left closed.
 * :func:`assemble` — the ⊕ operator (Def 3.1) joining forward half-paths
   with backward half-paths at the meeting vertex, with the duplicate-free
   split and ``arrays_overlap`` simplicity filter described in DESIGN.md §2.
@@ -22,12 +22,16 @@ Paths are ``array<long>`` columns; ``len`` is the hop count (|path| − 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.ops import checkpoint_counted, local_frame
+
+if TYPE_CHECKING:
+    from repro.core.sharing import ExecPlan
 
 DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
@@ -45,7 +49,8 @@ class HcsNode:
 @dataclass(frozen=True)
 class StopRule:
     """While enumerating ``nid``, any arrival at ``stop_v`` is closed by
-    concatenating the cached results of ``provider`` (Alg 4 line 22)."""
+    concatenating the cached results of ``provider`` (Alg 4 line 22);
+    :func:`build_allow` carries it on the ``(nid, stop_v)`` row."""
 
     nid: int
     stop_v: int
@@ -70,13 +75,13 @@ class QueryPlan:
 @dataclass
 class EnumStats:
     """Work accounting: rows produced by expansion joins (hardware-neutral
-    cost; see DESIGN.md §3 'Hardware') and cache-concatenation rows."""
+    cost; see DESIGN.md §3 'Hardware'), the prefixes among them closed at a
+    provider's root (the rows :func:`attach_cached` starts from), and hop
+    rounds."""
 
     expanded_rows: int = 0
     closed_rows: int = 0
     levels: int = 0
-    # nodes with at least one closed prefix: the consumers attach_cached joins
-    closers: set[int] = field(default_factory=set, compare=False)
 
 
 _EMPTY_SCHEMA = (
@@ -95,14 +100,13 @@ def no_paths(spark: SparkSession) -> DataFrame:
 
 def build_allow(
     spark: SparkSession,
-    nodes: list[HcsNode],
-    prune_pairs: list[tuple[int, int, int]],
+    plan: ExecPlan,
     dist_from_s: DistMap,
     dist_to_t: DistMap,
 ) -> DataFrame | None:
-    """The Lemma 3.1 pruning table ``(nid, v, allow)`` for a whole plan,
-    built on the driver from the collected index maps; ``None`` iff there
-    are no ``prune_pairs``.
+    """The Lemma 3.1 pruning table ``(nid, v, allow, provider)`` for a whole
+    plan, built on the driver from the collected index maps; ``None`` iff
+    the plan has no ``prune_pairs``.
 
     A prune pair ``(nid, t, cap)`` admits extending a prefix of node-local
     length ``len`` by vertex ``v`` iff ``len + 1 + dist(v, t) ≤ cap``
@@ -115,20 +119,26 @@ def build_allow(
     vertex with no row (unreachable from every paired target within its
     cap) is pruned by the inner join. Rows of nodes absent from an
     enumeration are inert (the join is keyed on nid).
+
+    ``provider`` carries the plan's stop rules: it is set on the
+    ``(consumer, stop_v)`` row of each rule and null elsewhere, so an
+    arrival the allow join admits at a stop vertex closes there. A stop on
+    a vertex without a row could never be reached, so it adds no row.
     """
-    if not prune_pairs:
+    if not plan.prune_pairs:
         return None
-    fwd_nids = {n.nid for n in nodes if n.side == "F"}
+    fwd_nids = {n.nid for n in plan.nodes if n.side == "F"}
     allow: dict[tuple[int, int], int] = {}
-    for nid, t, cap in prune_pairs:
+    for nid, t, cap in plan.prune_pairs:
         dists = dist_to_t if nid in fwd_nids else dist_from_s
         for v, d in dists.get(t, {}).items():
             if cap - d > allow.get((nid, v), 0):
                 allow[(nid, v)] = cap - d
+    provider = {(s.nid, s.stop_v): s.provider for s in plan.stops}
     return local_frame(
         spark,
-        [(nid, v, a) for (nid, v), a in allow.items()],
-        "nid long, v long, allow int",
+        [(nid, v, a, provider.get((nid, v))) for (nid, v), a in allow.items()],
+        "nid long, v long, allow int, provider long",
     )
 
 
@@ -139,17 +149,16 @@ def enumerate_nodes(
     nodes: list[HcsNode],
     allow: DataFrame | None,
     *,
-    stops: list[StopRule] | None = None,
     stats: EnumStats | None = None,
 ) -> DataFrame:
     """Materialize the path sets of ``nodes`` (both sides batched together).
 
     ``allow`` is :func:`build_allow`'s table: an extension of a node's
     prefix to ``v`` is kept iff ``len + 1 ≤ allow(nid, v)``, so a node with
-    no rows expands only its seed. ``None`` expands without pruning (the
-    KSP baselines). A prefix that reaches a ``stops`` vertex is closed
-    there: it is kept with its ``provider`` set and is not extended further
-    (see :func:`attach_cached`).
+    no rows expands only its seed. A kept extension whose row names a
+    ``provider`` is closed there: it is kept with that provider and is not
+    extended further (see :func:`attach_cached`). ``None`` expands without
+    pruning or stops (the KSP baselines).
 
     Returns ``(nid, path, last, len, budget, provider)`` including the
     zero-length seed path of every node, materialized by one final
@@ -163,9 +172,9 @@ def enumerate_nodes(
     # tagged with the side they serve and broadcast, and every frontier row
     # carries its node's side — one Spark job per hop regardless of
     # direction mix. The map-side (broadcast) join removes per-hop shuffles.
-    # Each hop's new rows are checkpointed once, with the stop split already
-    # joined in; that checkpoint's job also counts the rows (an observation),
-    # and the frontier and the running result union read it.
+    # Each hop's new rows are checkpointed once; that checkpoint's job also
+    # counts the rows and the closed ones (an observation), and the frontier
+    # and the running result union read it.
     edges_b = F.broadcast(
         edges_fwd.withColumn("eside", F.lit("F")).unionByName(
             edges_bwd.withColumn("eside", F.lit("B"))
@@ -178,15 +187,6 @@ def enumerate_nodes(
     )
     if allow is not None:
         allow = F.broadcast(allow.withColumnRenamed("v", "dst"))
-
-    stop_df = None
-    if stops:
-        node_nids = {n.nid for n in nodes}
-        node_stops = [(s.nid, s.stop_v, s.provider) for s in stops if s.nid in node_nids]
-        if node_stops:
-            stop_df = F.broadcast(
-                local_frame(spark, node_stops, "nid long, stop_v long, provider long")
-            )
 
     cols = ["nid", "path", "last", "len", "budget", "provider"]
     no_provider = F.lit(None).cast("long").alias("provider")
@@ -210,7 +210,9 @@ def enumerate_nodes(
             .drop("eside")
             .where(~F.expr("array_contains(path, dst)"))
         )
-        if allow is not None:
+        if allow is None:
+            cand = cand.select("*", no_provider)
+        else:
             cand = cand.join(allow, ["nid", "dst"]).where(
                 F.col("len") + 1 <= F.col("allow")
             )
@@ -221,69 +223,50 @@ def enumerate_nodes(
             (F.col("len") + 1).cast("int").alias("len"),
             "side",
             "budget",
+            "provider",
         )
-        aggs = {}
-        if stop_df is None:
-            new = new.select("*", no_provider)
-        else:
-            new = new.join(
-                stop_df,
-                (new["nid"] == stop_df["nid"]) & (new["last"] == stop_df["stop_v"]),
-                "left",
-            ).select(new["nid"], "path", "last", "len", "side", "budget", "provider")
-            aggs["closed"] = F.count("provider")
-            aggs["closers"] = F.collect_set(
-                F.when(F.col("provider").isNotNull(), F.col("nid"))
-            )
-        new, seen = checkpoint_counted(new, **aggs)
+        new, seen = checkpoint_counted(new, closed=F.count("provider"))
         stats.levels += 1
         if seen["rows"] == 0:
             break
         stats.expanded_rows += seen["rows"]
+        stats.closed_rows += seen["closed"]
         results = results.unionByName(new.select(cols))
-        if stop_df is not None:
-            stats.closed_rows += seen["closed"]
-            stats.closers.update(seen["closers"])
-            new = new.where(F.col("provider").isNull())
-        frontier = new
+        # the next hop's allow join brings its own provider column
+        frontier = new.where(F.col("provider").isNull()).drop("provider")
     return results.localCheckpoint(eager=True)
 
 
-def attach_cached(
-    expanded: DataFrame,
-    topo_levels: list[list[HcsNode]],
-    stops: list[StopRule],
-    closers: set[int],
-) -> DataFrame:
+def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
     """Extend every closed prefix of ``expanded`` by its provider's cached
     paths (Alg 4 lines 22-23); returns ``(nid, path, last, len)``.
 
-    ``expanded`` is :func:`enumerate_nodes` output over all of Ψ; its open
-    rows start the cache R. Only the concatenation is ordered: for each
-    topological level past the first whose consumers (``closers``) closed
-    a prefix, R[provider] is joined to their closed rows, keeping cached
-    paths of ``clen ≤ budget − len`` hops that do not revisit the prefix.
-    Each level's attachment is checkpointed once and joins R before the
-    next level, so a provider that is itself a consumer is complete when
-    it is read.
+    ``expanded`` is :func:`enumerate_nodes` output over all of Ψ, whose
+    ``closed_rows`` rows carry a provider; its open rows are final. Each
+    round joins the still-closed rows with ``expanded`` on ``provider =
+    nid``, keeping cached paths of ``clen ≤ budget − len`` hops (the
+    consumer's budget, carried on the row) that do not revisit the prefix,
+    and checkpoints the result once. A result whose cached path was open is
+    final; one whose cached path was itself closed ends at that path's
+    provider's root and joins again in the next round. Ψ is a DAG, so the
+    rounds end after the longest provider chain a closed row follows.
+
+    Each path splits uniquely at the first stop vertex it reaches, so no
+    path is produced twice.
     """
     cols = ["nid", "path", "last", "len"]
     paths = expanded.where(F.col("provider").isNull()).select(cols)
     closed = expanded.where(F.col("provider").isNotNull())
-    for level in topo_levels[1:]:
-        nids = sorted(n.nid for n in level if n.nid in closers)
-        if not nids:
-            continue
-        providers = sorted({s.provider for s in stops if s.nid in nids})
-        cache = paths.where(F.col("nid").isin(providers)).select(
-            F.col("nid").alias("provider"),
-            F.col("path").alias("cpath"),
-            F.col("len").alias("clen"),
-            F.col("last").alias("clast"),
-        )
+    cache = expanded.select(
+        F.col("nid").alias("provider"),
+        F.col("path").alias("cpath"),
+        F.col("len").alias("clen"),
+        F.col("last").alias("clast"),
+        F.col("provider").alias("cprovider"),
+    )
+    while closed_rows:
         attached = (
-            closed.where(F.col("nid").isin(nids))
-            .join(cache, "provider")
+            closed.join(cache, "provider")
             .where(F.col("clen") <= F.col("budget") - F.col("len"))
             .withColumn("ctail", F.expr("slice(cpath, 2, clen)"))
             .where(~F.expr("arrays_overlap(path, ctail)"))
@@ -292,9 +275,16 @@ def attach_cached(
                 F.expr("concat(path, ctail)").alias("path"),
                 F.col("clast").alias("last"),
                 (F.col("len") + F.col("clen")).cast("int").alias("len"),
+                "budget",
+                F.col("cprovider").alias("provider"),
             )
         )
-        paths = paths.unionByName(attached.localCheckpoint(eager=True))
+        attached, seen = checkpoint_counted(attached, closed=F.count("provider"))
+        paths = paths.unionByName(
+            attached.where(F.col("provider").isNull()).select(cols)
+        )
+        closed = attached.where(F.col("provider").isNotNull())
+        closed_rows = seen["closed"]
     return paths
 
 

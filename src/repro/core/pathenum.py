@@ -48,9 +48,7 @@ def run_pathenum(
             dist_to_t = idx.collect_dists(bwd_index)
         with timer.stage("enumeration"):
             plan = build_basic_plan([q], {q.qid: default_split(q)})
-            allow = build_allow(
-                spark, plan.nodes, plan.prune_pairs, dist_from_s, dist_to_t
-            )
+            allow = build_allow(spark, plan, dist_from_s, dist_to_t)
             paths = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
             res, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
             n_paths += seen["rows"]

@@ -203,10 +203,10 @@ class _Detector:
         """Add Ψ edge provider→consumer unless it would create a cycle or
         push the longest provider chain past ``max_depth``.
 
-        The depth cap bounds the number of sequential topological levels the
-        enumeration phase must schedule — each level past the first costs
+        The depth cap bounds the sequential attach rounds of the
+        enumeration phase — each chain link a closed prefix follows costs
         one attach join, while the bulk of the sharing benefit sits in the
-        first levels (DESIGN.md §2)."""
+        first links (DESIGN.md §2)."""
         if provider == consumer or self._reaches(consumer, provider):
             return False
         if (
@@ -420,8 +420,9 @@ def _stop_rules(plan: ExecPlan) -> list[StopRule]:
 
 
 def _topo_levels(plan: ExecPlan) -> list[list[HcsNode]]:
-    """Group Ψ's HC-s nodes into waves of provider-complete levels; BatchEnum
-    attaches cached paths to each level's stopped prefixes in this order."""
+    """Group Ψ's HC-s nodes into waves of provider-complete levels: Ψ's DAG
+    check, and its depth as ``n_levels``. Execution does not read this
+    order; the attach follows each closed row's provider instead."""
     nodes = {n.nid: n for n in plan.nodes}
     in_deg: dict[int, int] = {n.nid: 0 for n in plan.nodes}
     out: dict[int, list[int]] = defaultdict(list)

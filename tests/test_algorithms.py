@@ -155,18 +155,23 @@ class TestTinyBatchCorrectness:
 
 
 class TestPsiChains:
-    """TINY seed 2 plans Ψ in 4 topological levels: a level-2 node's
-    provider sits in level 1, so it is itself a consumer, and its cached
-    paths must be complete before its own consumers attach them."""
+    """TINY seed 2 plans Ψ in 4 topological levels, with the ⁺ split and at
+    γ = 0 too: a level-2 node's provider sits in level 1, so it is itself a
+    consumer, and a prefix closed at its root is extended through its own
+    closed prefixes in a second attach round."""
 
     @pytest.fixture(scope="class")
     def chain_queries(self, tiny_adj):
         return gen_queries(tiny_adj, 10, k_range=(3, 5), share=0.5, seed=2)
 
-    @pytest.mark.parametrize("depth", [{}, {"max_depth": 2}], ids=["default", "depth2"])
-    def test_matches_reference(self, spark, tiny_edges, tiny_adj, chain_queries, depth):
-        rr = run_batch(spark, tiny_edges, chain_queries, gamma=0.5, **depth)
-        if not depth:
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"max_depth": 2}, {"optimized": True}, {"gamma": 0}],
+        ids=["default", "depth2", "optimized", "gamma0"],
+    )
+    def test_matches_reference(self, spark, tiny_edges, tiny_adj, chain_queries, kw):
+        rr = run_batch(spark, tiny_edges, chain_queries, **{"gamma": 0.5, **kw})
+        if "max_depth" not in kw:
             assert rr.extras["n_levels"] >= 3
         want = {
             q.qid: ref.enum_st_paths(tiny_adj, q.s, q.t, q.k) for q in chain_queries

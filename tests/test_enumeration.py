@@ -19,6 +19,7 @@ from repro.core.enumeration import (
     paths_as_strings,
 )
 from repro.core.index import bidirectional_index, collect_dists
+from repro.core.sharing import ExecPlan
 from repro.graph.ops import reverse_edges
 from repro.oracle import assert_equivalent
 from tests.sqlgen import hcs_paths_sql
@@ -44,7 +45,7 @@ def paper_dists(spark, paper_edges, paper_rev):
 
 def pruned(spark, edges, rev, nodes, prune_pairs, dists):
     """``enumerate_nodes`` under the allow table of ``prune_pairs``."""
-    allow = build_allow(spark, nodes, prune_pairs, *dists)
+    allow = build_allow(spark, ExecPlan(nodes=nodes, prune_pairs=prune_pairs), *dists)
     return enumerate_nodes(spark, edges, rev, nodes, allow)
 
 
@@ -199,23 +200,52 @@ class TestBuildAllow:
             for v, d in ref.bfs_dists(far, t, k_max).items():
                 want[(nid, v)] = max(want.get((nid, v), cap - d), cap - d)
         want = {key: a for key, a in want.items() if a >= 1}
-        rows = build_allow(spark, nodes, pairs, *dists).collect()
+        rows = build_allow(
+            spark, ExecPlan(nodes=nodes, prune_pairs=pairs), *dists
+        ).collect()
         assert len(rows) == len(want)
         assert {(r["nid"], r["v"]): r["allow"] for r in rows} == want
 
     def test_no_pairs_is_none(self, spark, paper_dists):
-        assert build_allow(spark, [HcsNode(0, 0, 3, "F")], [], *paper_dists) is None
+        plan = ExecPlan(nodes=[HcsNode(0, 0, 3, "F")])
+        assert build_allow(spark, plan, *paper_dists) is None
+
+    def test_stop_rules_set_provider(self, spark, paper_dists):
+        # Fig 2: dist(·, v14) is 0 for v14, 1 for v6, 2 for v3 and v15,
+        # 3 for v9 and 4 for v4; v8 cannot reach v14.
+        plan = ExecPlan(
+            nodes=[HcsNode(0, 4, 3, "F")],
+            prune_pairs=[(0, 14, 4)],
+            stops=[
+                StopRule(0, 9, 7),  # allow 1: the row names provider 7
+                StopRule(0, 4, 8),  # allow 0 < 1: no row
+                StopRule(0, 8, 9),  # unreachable: no row
+            ],
+        )
+        rows = build_allow(spark, plan, *paper_dists).collect()
+        assert {(r["nid"], r["v"]): (r["allow"], r["provider"]) for r in rows} == {
+            (0, 14): (4, None), (0, 6): (3, None), (0, 3): (2, None),
+            (0, 15): (2, None), (0, 9): (1, 7),
+        }
 
 
-def expand_then_attach(spark, edges, rev, provider, consumer):
-    """Expand ``provider`` and ``consumer`` in one hop loop, the consumer
-    stopping at the provider's root, then attach the provider's paths."""
+def expand_then_attach(spark, edges, rev, *chain):
+    """Expand the ``chain`` of nodes in one hop loop, each node stopping at
+    the root of the node before it, then attach the cached paths.
+
+    The stops travel in an allow table that prunes nothing: each node has
+    one prune pair to a target at distance 0 from every vertex, so
+    ``allow = budget`` on every row."""
     stats = EnumStats()
-    stops = [StopRule(consumer.nid, provider.root, provider.nid)]
-    expanded = enumerate_nodes(
-        spark, edges, rev, [provider, consumer], None, stops=stops, stats=stats,
+    everywhere = {-1: {v: 0 for r in edges.collect() for v in r}}
+    plan = ExecPlan(
+        nodes=list(chain),
+        prune_pairs=[(n.nid, -1, n.budget) for n in chain],
+        stops=[StopRule(c.nid, p.root, p.nid) for p, c in zip(chain, chain[1:])],
     )
-    return attach_cached(expanded, [[provider], [consumer]], stops, stats.closers)
+    allow = build_allow(spark, plan, everywhere, everywhere)
+    expanded = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
+    return attach_cached(expanded, stats.closed_rows)
 
 
 class TestStopsAndCache:
@@ -227,6 +257,17 @@ class TestStopsAndCache:
             spark, paper_edges, paper_rev, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
         )
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
+
+    def test_two_link_chain(self, spark, paper_edges, paper_rev, paper_adj):
+        # q_{v0,4,G} stops at v1 and reuses q_{v1,3,G}, which stops at v7
+        # and reuses q_{v7,2,G}: (v0,v1,v7,v10,v12) needs both rounds.
+        got = expand_then_attach(
+            spark, paper_edges, paper_rev,
+            HcsNode(2, 7, 2, "F"), HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 4, "F"),
+        )
+        assert (0, 1, 7, 10, 12) in node_paths(got, 0)
+        assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
+        assert node_paths(got, 1) == ref.enum_hcs_paths(paper_adj, 1, 3)
 
     def test_stop_bare_prefix_emitted(self, spark, paper_edges, paper_rev):
         # the zero-length cached path must surface the stopped prefix itself
