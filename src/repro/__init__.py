@@ -9,7 +9,8 @@ evaluation table). See DESIGN.md for the paper→Spark mapping.
 
 
 def session(app: str):
-    """The SparkSession every entry point shares (tests and ``jobs/``).
+    """The SparkSession every entry point shares (the tests and
+    ``python -m repro.harness``).
 
     Master and driver memory are launch settings (``PYSPARK_SUBMIT_ARGS``
     or ``spark-submit``). The settings made here take effect on a running

@@ -9,21 +9,14 @@ on via the shared multi-source index, and BatchEnum via Ψ.
 """
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import astuple
+
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import index as idx
-from repro.core.basic_enum import RunResult
-from repro.core.enumeration import (
-    EnumStats,
-    assemble,
-    build_allow,
-    enumerate_nodes,
-    no_paths,
-)
+from repro.core.basic_enum import RunResult, run_basic
+from repro.core.enumeration import EnumStats, no_paths
 from repro.core.queries import Query
-from repro.core.sharing import build_basic_plan, default_split
-from repro.graph.ops import checkpoint_counted, reverse_edges
-from repro.harness.timing import StageTimer
 
 
 def run_pathenum(
@@ -31,29 +24,14 @@ def run_pathenum(
     edges: DataFrame,
     queries: list[Query],
 ) -> RunResult:
-    """Answer every query with an independent PathEnum run."""
-    timer = StageTimer()
-    stats = EnumStats()
-    if not queries:
-        return RunResult(no_paths(spark), timer.seconds, stats, {"n_paths": 0})
-    rev = reverse_edges(edges)
-    per_query: list[DataFrame] = []
-    n_paths = 0
-    for q in queries:
-        with timer.stage("build_index"):
-            fwd_index, bwd_index = idx.bidirectional_index(
-                spark, edges, rev, [q.s], [q.t], q.k
-            )
-            dist_from_s = idx.collect_dists(fwd_index)
-            dist_to_t = idx.collect_dists(bwd_index)
-        with timer.stage("enumeration"):
-            plan = build_basic_plan([q], {q.qid: default_split(q)})
-            allow = build_allow(spark, plan, dist_from_s, dist_to_t)
-            paths = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
-            res, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
-            n_paths += seen["rows"]
-        per_query.append(res)
-    results = per_query[0]
-    for r in per_query[1:]:
-        results = results.unionByName(r)
-    return RunResult(results, timer.seconds, stats, {"n_paths": n_paths})
+    """Answer every query with an independent PathEnum run: BasicEnum on a
+    batch of one, whose index is bounded by that query's own ``k``."""
+    runs = [run_basic(spark, edges, [q]) for q in queries]
+    timings: Counter[str] = Counter()
+    results = no_paths(spark)
+    for rr in runs:
+        timings.update(rr.timings)
+        results = results.unionByName(rr.results)
+    stats = EnumStats(*map(sum, zip(*(astuple(rr.stats) for rr in runs))))
+    n_paths = sum(rr.extras["n_paths"] for rr in runs)
+    return RunResult(results, dict(timings), stats, {"n_paths": n_paths})

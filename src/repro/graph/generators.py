@@ -56,7 +56,7 @@ DATASETS: dict[str, GraphSpec] = {
     "FS": GraphSpec("FS", 32_500, 450_000, 0.5, 0.5, 32),  # Friendster 65M/1.81B/27.5
 }
 
-# Benchmarks default to this subset to bound wall-clock; jobs/ can run all.
+# Exp-3 defaults to this subset to bound wall-clock; pass other names to run all.
 BENCH_DATASETS = ["EP", "SL", "WT", "BS"]
 
 

@@ -10,6 +10,7 @@ hardware-neutral quantity the sharing optimization reduces (DESIGN.md §3).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 import pandas as pd
@@ -29,13 +30,13 @@ DEFAULT_GAMMA = 0.5  # the paper's default
 def algo_runner(name: str, gamma: float = DEFAULT_GAMMA) -> Callable:
     """Dispatch an algorithm by its paper name."""
     return {
-        "PathEnum": lambda sp, e, q: run_pathenum(sp, e, q),
-        "BasicEnum": lambda sp, e, q: run_basic(sp, e, q),
-        "BasicEnum+": lambda sp, e, q: run_basic(sp, e, q, optimized=True),
-        "BatchEnum": lambda sp, e, q: run_batch(sp, e, q, gamma=gamma),
-        "BatchEnum+": lambda sp, e, q: run_batch(sp, e, q, gamma=gamma, optimized=True),
-        "DkSP": lambda sp, e, q: run_dksp(sp, e, q),
-        "OnePass": lambda sp, e, q: run_onepass(sp, e, q),
+        "PathEnum": run_pathenum,
+        "BasicEnum": run_basic,
+        "BasicEnum+": partial(run_basic, optimized=True),
+        "BatchEnum": partial(run_batch, gamma=gamma),
+        "BatchEnum+": partial(run_batch, gamma=gamma, optimized=True),
+        "DkSP": run_dksp,
+        "OnePass": run_onepass,
     }[name]
 
 
@@ -266,6 +267,56 @@ def exp7_path_counts(
             )
         edges.unpersist()
     return pd.DataFrame(rows)
+
+
+# The tables of ``results/``: name -> (title, runner, keyword arguments).
+# ``python -m repro.harness <name>`` regenerates ``results/<name>.md``.
+TABLES: dict[str, tuple[str, Callable[..., pd.DataFrame], dict]] = {
+    "table1": (
+        "Table I — dataset statistics (synthetic stand-ins)", table1_datasets, {},
+    ),
+    # WT is the sparse stand-in: its k-hop neighbourhoods are local, so the
+    # share knob actually sweeps μ_Q instead of saturating near 1 as it
+    # does on small dense graphs.
+    "exp1_similarity": (
+        "Exp-1 — time/work vs batch similarity (WT)", exp1_similarity,
+        dict(datasets=["WT"], n_queries=12, shares=[0.0, 0.5, 0.9],
+             k_range=(4, 6), min_dist=3, seed=1),
+    ),
+    "exp2_qsize": (
+        "Exp-2 — time/work vs |Q| (EP)", exp2_query_set_size,
+        dict(datasets=["EP"], sizes=[8, 16, 24], k_range=(4, 5),
+             algos=["BasicEnum", "BasicEnum+", "BatchEnum", "BatchEnum+"], seed=1),
+    ),
+    "exp2_largeq": (
+        "Exp-2 supplement — large |Q| on SL (k 5-6, shared workload)",
+        exp2_query_set_size,
+        dict(datasets=["SL"], sizes=[50, 100, 200], k_range=(5, 6), share=0.6,
+             min_dist=5, algos=["BasicEnum", "BatchEnum", "BatchEnum+"], seed=0),
+    ),
+    "exp3_decomposition": (
+        "Exp-3 — BatchEnum+ stage decomposition", exp3_decomposition,
+        dict(datasets=["EP", "SL", "WT", "BS"], n_queries=12, k_range=(4, 5), seed=1),
+    ),
+    "exp4_gamma": (
+        "Exp-4 — BatchEnum+ vs gamma (EP)", exp4_gamma,
+        dict(datasets=["EP"], n_queries=12, gammas=[0.1, 0.5, 0.9, 1.0],
+             k_range=(4, 5), seed=1),
+    ),
+    "exp5_scalability": (
+        "Exp-5 — scalability (TW-lite, FS-lite samples)", exp5_scalability,
+        dict(datasets=["TW", "FS"], pcts=[40, 70, 100], n_queries=8,
+             k_range=(4, 5), algos=["BasicEnum", "BatchEnum"], seed=1),
+    ),
+    "exp6_ksp": (
+        "Exp-6 — BatchEnum+ vs DkSP/OnePass (EP)", exp6_ksp,
+        dict(datasets=["EP"], n_queries=8, ks=[3, 4, 5], seed=1),
+    ),
+    "exp7_path_counts": (
+        "Exp-7 — avg paths per query vs k (EP)", exp7_path_counts,
+        dict(datasets=["EP"], n_queries=10, ks=[3, 4, 5, 6], seed=1),
+    ),
+}
 
 
 def to_markdown(df: pd.DataFrame) -> str:

@@ -108,6 +108,7 @@ class TestPaperBatchCorrectness:
             ("batch+", EnumStats(expanded_rows=29, closed_rows=5, levels=3)),
             ("basic", EnumStats(expanded_rows=40, closed_rows=0, levels=3)),
             ("basic+", EnumStats(expanded_rows=40, closed_rows=0, levels=3)),
+            ("pathenum", EnumStats(expanded_rows=40, closed_rows=0, levels=13)),
         ],
     )
     def test_work_counts_pinned(self, paper_runs, algo, want):

@@ -49,7 +49,7 @@ class TestPowerlawEdges:
     def test_all_specs_generate(self, name):
         spec = DATASETS[name]
         if spec.n > 25_000:
-            pytest.skip("large spec covered by benchmarks")
+            pytest.skip("large spec covered by the table1/exp5_scalability presets")
         pdf = powerlaw_edges(spec)
         assert len(pdf) > 0
 

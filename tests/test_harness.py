@@ -2,6 +2,9 @@
 needs, on a tiny dataset so the whole module stays fast."""
 from __future__ import annotations
 
+import inspect
+import pathlib
+
 import pytest
 
 from repro.harness import experiments as ex
@@ -34,7 +37,7 @@ class TestTable1:
     def test_columns_and_rows(self, spark):
         df = ex.table1_datasets(spark, ["TINY", "SMALL"])
         assert list(df.columns) == ["name", "V", "E", "d_avg", "d_max"]
-        assert len(df) == 2
+        assert list(df["name"]) == ["TINY", "SMALL"]
         assert (df["E"] > 0).all()
 
 
@@ -75,11 +78,18 @@ def test_runners_produce_tables(spark, runner, kwargs, expect_cols):
     df = runner(spark, **kwargs)
     assert len(df) > 0
     assert expect_cols <= set(df.columns)
+    if "algos" in kwargs:  # exp1, exp2, exp6
+        assert set(df["algo"]) == set(kwargs["algos"])
+    if "sizes" in kwargs:  # exp2
+        assert sorted(df["n_queries"].unique()) == kwargs["sizes"]
+    if "gammas" in kwargs:  # exp4: one row per γ
+        assert list(df["gamma"]) == kwargs["gammas"]
 
 
 def test_exp3_decomposition(spark):
     df = ex.exp3_decomposition(spark, ["TINY"], n_queries=6, k_range=(3, 4))
     assert {"build_index", "cluster_query", "identify_subquery", "enumeration", "total"} <= set(df.columns)
+    assert list(df["dataset"]) == ["TINY"]
     row = df.iloc[0]
     assert row["total"] >= row["enumeration"]
 
@@ -103,6 +113,17 @@ def test_to_markdown(spark):
     df = ex.table1_datasets(spark, ["TINY"])
     md = ex.to_markdown(df)
     assert md.startswith("| name |") and "TINY" in md
+
+
+def test_tables_match_results():
+    # Spark-free: a renamed runner keyword fails here, not at the end of a
+    # long `python -m repro.harness` sweep.
+    results = pathlib.Path(__file__).resolve().parent.parent / "results"
+    files = {p.stem: p for p in results.glob("*.md")}
+    assert set(ex.TABLES) == set(files)
+    for name, (title, runner, kwargs) in ex.TABLES.items():
+        assert files[name].read_text().splitlines()[0] == f"## {title}", name
+        inspect.signature(runner).bind(None, **kwargs)
 
 
 def test_algo_runner_dispatch():
