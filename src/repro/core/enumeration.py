@@ -14,9 +14,10 @@ This module is the dataflow core every algorithm shares:
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
   22-23): every closed prefix is extended by its provider's paths, round
   by round, until no prefix is left closed.
-* :func:`assemble` — the ⊕ operator (Def 3.1) joining forward half-paths
-  with backward half-paths at the meeting vertex, with the duplicate-free
-  split and ``arrays_overlap`` simplicity filter described in DESIGN.md §2.
+* :func:`assemble` — the ⊕ operator (Def 3.1): one join of forward
+  half-paths with backward half-paths at the meeting vertex, with the
+  duplicate-free split and ``arrays_overlap`` simplicity filter described
+  in DESIGN.md §2.
 
 Paths are ``array<long>`` columns; ``len`` is the hop count (|path| − 1).
 """
@@ -161,8 +162,9 @@ def enumerate_nodes(
     pruning or stops (the KSP baselines).
 
     Returns ``(nid, path, last, len, budget, provider)`` including the
-    zero-length seed path of every node, materialized by one final
-    ``localCheckpoint``; ``provider`` is null on every open row.
+    zero-length seed path of every node; ``provider`` is null on every open
+    row. The result is a union of materialized inputs (the seeds over a
+    local relation and each hop's checkpoint), so it is not copied again.
     """
     if not nodes:
         return empty_paths(spark)
@@ -234,7 +236,7 @@ def enumerate_nodes(
         results = results.unionByName(new.select(cols))
         # the next hop's allow join brings its own provider column
         frontier = new.where(F.col("provider").isNull()).drop("provider")
-    return results.localCheckpoint(eager=True)
+    return results
 
 
 def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
@@ -298,13 +300,13 @@ def assemble(
     ``paths`` holds the materialized HC-s results of every node referenced
     by ``plans`` (forward paths on G keyed ``fnid``, backward paths on G_r
     keyed ``bnid``). Output: ``(qid, path)`` with ``path`` the full vertex
-    array from s to t. Duplicate-free split per DESIGN.md §2:
-
-    * 1 ≤ hops < a → forward path already ending at t (the zero-length
-      seed ends at t only when s = t, and no query has a 0-hop answer);
-    * hops ≥ a → forward prefix of exactly ``a`` hops ⋈ backward suffix
-      (including the zero-length ``[t]``) on the meeting vertex, filtered
-      for vertex-disjointness.
+    array from s to t. One join, duplicate-free per DESIGN.md §2: a
+    forward row joins the backward suffixes that end at its last vertex,
+    filtered for vertex-disjointness, if it has exactly ``a`` hops (a path
+    of ≥ ``a`` hops splits there) or 1 ≤ hops < ``a`` and ends at t. The
+    only backward path ending at its own root t is the zero-length ``[t]``,
+    so such a row comes out unchanged (the zero-length forward seed ends at
+    t only when s = t, and no query has a 0-hop answer).
     """
     if not plans:
         return no_paths(spark)
@@ -321,13 +323,12 @@ def assemble(
         F.col("last").alias("flast"),
         F.col("len").alias("flen"),
     )
-    part1 = fwd.where(
-        (F.col("flen") >= 1)
-        & (F.col("flen") < F.col("a"))
-        & (F.col("flast") == F.col("t"))
-    ).select("qid", F.col("fpath").alias("path"))
-
-    fexact = fwd.where(F.col("flen") == F.col("a"))
+    # a shared forward node may hold rows longer than ``a``: they split at
+    # ``a`` like every other path, so the short rows stop below ``a``
+    fsplit = fwd.where(
+        (F.col("flen") == F.col("a"))
+        | (F.col("flen").between(1, F.col("a") - 1) & (F.col("flast") == F.col("t")))
+    )
     bwd = paths.join(plan_df, paths["nid"] == plan_df["bnid"]).select(
         F.col("qid").alias("bqid"),
         (F.col("k") - F.col("a")).alias("b"),
@@ -335,16 +336,15 @@ def assemble(
         F.col("last").alias("blast"),
         F.col("len").alias("blen"),
     ).where(F.col("blen") <= F.col("b"))
-    part2 = (
-        fexact.join(
+    return (
+        fsplit.join(
             bwd,
-            (fexact["qid"] == bwd["bqid"]) & (fexact["flast"] == bwd["blast"]),
+            (fsplit["qid"] == bwd["bqid"]) & (fsplit["flast"] == bwd["blast"]),
         )
         .withColumn("btail", F.expr("slice(reverse(bpath), 2, blen)"))
         .where(~F.expr("arrays_overlap(fpath, btail)"))
         .select("qid", F.expr("concat(fpath, btail)").alias("path"))
     )
-    return part1.unionByName(part2)
 
 
 def paths_as_strings(result: DataFrame) -> DataFrame:

@@ -16,10 +16,11 @@ by remaining hop budget (Alg 3's ``S_Q`` at iteration ``k``):
 
 Ψ edges point provider → consumer. A link that would close a cycle is
 skipped (the consumer keeps searching through the vertex instead), keeping
-Ψ a DAG as Theorem 4.1 requires. After detection, consumer target/cap pairs
-are propagated provider-ward in reverse topological order so every node's
-enumeration is pruned exactly as hard as its *most demanding* transitive
-consumer allows (DESIGN.md §2).
+Ψ a DAG as Theorem 4.1 requires. After detection, Ψ is sorted once into
+topological levels (:func:`_topo_levels`, which also checks it is a DAG).
+Walked in reverse, the same order propagates consumer target/cap pairs
+provider-ward, so every node's enumeration is pruned exactly as hard as its
+*most demanding* transitive consumer allows (DESIGN.md §2).
 """
 from __future__ import annotations
 
@@ -159,7 +160,8 @@ class _Detector:
         self.pairs: dict[int, dict[int, int]] = defaultdict(dict)  # nid -> {t: cap}
         self.consumers: dict[int, set[int]] = defaultdict(set)  # provider -> consumers
         self.pushed: set[tuple[int, int]] = set()  # (nid, vertex) wave dedup
-        self._outbox: dict[int, list[int]] = {}
+        # remaining -> vertex -> arrival nids, filled by _push_from
+        self.pend: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
 
     def _new_node(self, root: int, budget: int) -> HcsNode:
         n = HcsNode(self.next_nid, root, budget, self.side)
@@ -172,18 +174,18 @@ class _Detector:
         if cap > cur.get(t, -(10**9)):
             cur[t] = cap
 
-    def _reaches(self, src: int, dst: int) -> bool:
-        """Is ``dst`` reachable from ``src`` along provider→consumer edges?"""
-        stack, seen = [src], {src}
+    def _below(self, nid: int) -> dict[int, int]:
+        """Every node reachable from ``nid`` along provider→consumer edges,
+        with the longest chain (edges counted) to it; ``nid`` itself at 0."""
+        depth = {nid: 0}
+        stack = [nid]
         while stack:
             u = stack.pop()
-            if u == dst:
-                return True
             for c in self.consumers.get(u, ()):
-                if c not in seen:
-                    seen.add(c)
+                if depth[u] + 1 > depth.get(c, -1):
+                    depth[c] = depth[u] + 1
                     stack.append(c)
-        return False
+        return depth
 
     def _chain_up(self, nid: int) -> int:
         """Longest provider chain ending at ``nid`` (edges counted)."""
@@ -192,27 +194,20 @@ class _Detector:
             best = max(best, 1 + self._chain_up(p))
         return best
 
-    def _chain_down(self, nid: int) -> int:
-        """Longest consumer chain starting at ``nid`` (edges counted)."""
-        best = 0
-        for c in self.consumers.get(nid, ()):
-            best = max(best, 1 + self._chain_down(c))
-        return best
-
     def _link(self, provider: int, consumer: int, attach: int, ra: int) -> bool:
         """Add Ψ edge provider→consumer unless it would create a cycle or
-        push the longest provider chain past ``max_depth``.
+        push the longest provider chain past ``max_depth``. Both checks read
+        one walk below the consumer: a cycle iff the provider is in it (or is
+        the consumer), and its deepest node ends the chain's lower part.
 
         The depth cap bounds the sequential attach rounds of the
         enumeration phase — each chain link a closed prefix follows costs
         one attach join, while the bulk of the sharing benefit sits in the
         first links (DESIGN.md §2)."""
-        if provider == consumer or self._reaches(consumer, provider):
+        below = self._below(consumer)
+        if provider in below:
             return False
-        if (
-            self._chain_up(provider) + 1 + self._chain_down(consumer)
-            > self.max_depth - 1
-        ):
+        if self._chain_up(provider) + 1 + max(below.values()) > self.max_depth - 1:
             return False
         self.edges.append(PsiEdge(provider, consumer, attach, ra))
         self.consumers[provider].add(consumer)
@@ -235,24 +230,21 @@ class _Detector:
         return False
 
     def run(self, initial: list[tuple[HcsNode, list[tuple[int, int]]]]) -> None:
-        """``initial``: pre-created nodes with their direct (target, cap)
-        prune pairs. Runs the full wave, populating nodes/edges/pairs."""
+        """``initial``: nodes made by :meth:`_new_node`, with their direct
+        (target, cap) prune pairs. Runs the full wave, populating
+        nodes/edges/pairs."""
         for node, pairs in initial:
-            self.nodes[node.nid] = node
-            self.next_nid = max(self.next_nid, node.nid + 1)
             for t, cap in pairs:
                 self._add_pair(node.nid, t, cap)
         if not initial:
             return
         k_max = max(n.budget for n, _ in initial)
-        # pend[remaining][vertex] -> arrival nids
-        pend: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
         for rem in range(k_max, -1, -1):
             for node, _ in initial:
                 if node.budget == rem:
                     self.m_q[node.root] = node.nid
                     self._push_from(node.nid, node.root, rem)
-            arrivals = pend.pop(rem, {})
+            arrivals = self.pend.pop(rem, {})
             for v in sorted(arrivals):
                 s_q = sorted(set(arrivals[v]))
                 owner = self.m_q.get(v)
@@ -269,7 +261,7 @@ class _Detector:
                     # avoid — so they are not created at all.
                     ok = [
                         x for x in s_q
-                        if 1 + self._chain_down(x) <= self.max_depth - 1
+                        if 1 + max(self._below(x).values()) <= self.max_depth - 1
                     ]
                     if len(ok) >= 2:
                         d = self._new_node(v, rem)
@@ -284,14 +276,10 @@ class _Detector:
                             self._push_from(x, v, rem)
                 else:
                     self._push_from(s_q[0], v, rem)
-            # Deliver this level's pushes into the pend map (pushes target
-            # remaining-1, already recorded by _push_from).
-            pend_next = self._drain()
-            for vv, nids in pend_next.items():
-                pend[rem - 1][vv].extend(nids)
 
     def _push_from(self, nid: int, v: int, remaining: int) -> None:
-        """Queue ``nid``'s wave extensions from ``v`` at ``remaining``."""
+        """Queue ``nid``'s wave extensions from ``v`` as arrivals of the next
+        level (``remaining − 1``), which nothing reads before that level."""
         if remaining <= 1:
             return  # arrivals with remaining 0 cannot share anything
         for v2 in self.adj.get(v, ()):
@@ -300,12 +288,7 @@ class _Detector:
             if not self._wave_prune_ok(nid, v2, remaining - 1):
                 continue
             self.pushed.add((nid, v2))
-            self._outbox.setdefault(v2, []).append(nid)
-
-    def _drain(self) -> dict[int, list[int]]:
-        out = self._outbox
-        self._outbox = {}
-        return out
+            self.pend[remaining - 1][v2].append(nid)
 
 
 def build_shared_plan(
@@ -319,7 +302,9 @@ def build_shared_plan(
     max_depth: int = 4,
 ) -> ExecPlan:
     """BatchEnum's plan: run Alg 3 per cluster on G and G_r, merge the
-    resulting Ψ fragments, propagate prune pairs, and topo-sort.
+    resulting Ψ fragments, topo-sort Ψ, and propagate prune pairs in that
+    order. Each Ψ edge is one stop rule: a consumer reaches a vertex at most
+    once and stops where it links, so no (consumer, vertex) has two edges.
 
     ``dist_from_s[s][v] = dist_G(s, v)`` (prunes the G_r side);
     ``dist_to_t[t][v] = dist_{G_r}(t, v) = dist_G(v, t)`` (prunes the G
@@ -345,8 +330,7 @@ def build_shared_plan(
             initial = []
             node_of_root: dict[int, HcsNode] = {}
             for root in sorted(root_budget):
-                n = HcsNode(det.next_nid, root, root_budget[root], side)
-                det.next_nid += 1
+                n = det._new_node(root, root_budget[root])
                 node_of_root[root] = n
                 pairs = []
                 for q in qs:
@@ -359,10 +343,7 @@ def build_shared_plan(
             nid = det.next_nid
             plan.nodes += list(det.nodes.values())
             plan.edges += det.edges
-            for n_id, pr in det.pairs.items():
-                for t, cap in pr.items():
-                    if cap > all_pairs[n_id].get(t, -(10**9)):
-                        all_pairs[n_id][t] = cap
+            all_pairs.update(det.pairs)  # each detector numbers its own nodes
             for q in qs:
                 if side == "F":
                     fnid[q.qid] = node_of_root[q.s].nid
@@ -371,6 +352,7 @@ def build_shared_plan(
                         q.qid, q.s, q.t, q.k, splits[q.qid],
                         fnid[q.qid], node_of_root[q.t].nid,
                     ))
+    plan.topo_levels = _topo_levels(plan)
     _propagate_pairs(plan, all_pairs)
     plan.prune_pairs = [
         (n_id, t, cap)
@@ -378,51 +360,35 @@ def build_shared_plan(
         for t, cap in sorted(pr.items())
         if cap >= 1
     ]
-    plan.stops = _stop_rules(plan)
-    plan.topo_levels = _topo_levels(plan)
+    plan.stops = sorted(
+        (StopRule(e.consumer, e.attach, e.provider) for e in plan.edges),
+        key=lambda r: (r.nid, r.stop_v),
+    )
     return plan
 
 
 def _propagate_pairs(plan: ExecPlan, pairs: dict[int, dict[int, int]]) -> None:
-    """Exact consumer→provider cap propagation in reverse topological order
-    (consumers finalized before their providers; see DESIGN.md §2)."""
-    budget = {n.nid: n.budget for n in plan.nodes}
+    """Exact consumer→provider cap propagation: ``plan.topo_levels`` walked
+    in reverse visits every consumer, with its caps final, before its
+    providers (see DESIGN.md §2)."""
     in_edges: dict[int, list[PsiEdge]] = defaultdict(list)  # consumer -> edges
-    out_deg: dict[int, int] = defaultdict(int)
     for e in plan.edges:
         in_edges[e.consumer].append(e)
-        out_deg[e.provider] += 1
-    # Kahn over reversed Ψ: start from nodes that provide nothing.
-    ready = [n.nid for n in plan.nodes if out_deg[n.nid] == 0]
-    order: list[int] = []
-    remaining = dict(out_deg)
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for e in in_edges.get(u, ()):
-            remaining[e.provider] -= 1
-            if remaining[e.provider] == 0:
-                ready.append(e.provider)
-    for u in order:  # consumers appear before their providers
-        for e in in_edges.get(u, ()):
-            shift = budget[e.consumer] - e.ra
-            for t, cap in pairs[e.consumer].items():
-                new_cap = cap - shift
-                if new_cap > pairs[e.provider].get(t, -(10**9)):
-                    pairs[e.provider][t] = new_cap
-
-
-def _stop_rules(plan: ExecPlan) -> list[StopRule]:
-    rules = {}
-    for e in plan.edges:
-        rules[(e.consumer, e.attach)] = StopRule(e.consumer, e.attach, e.provider)
-    return sorted(rules.values(), key=lambda r: (r.nid, r.stop_v))
+    for level in reversed(plan.topo_levels):
+        for node in level:
+            for e in in_edges.get(node.nid, ()):
+                shift = node.budget - e.ra
+                for t, cap in pairs[node.nid].items():
+                    new_cap = cap - shift
+                    if new_cap > pairs[e.provider].get(t, -(10**9)):
+                        pairs[e.provider][t] = new_cap
 
 
 def _topo_levels(plan: ExecPlan) -> list[list[HcsNode]]:
-    """Group Ψ's HC-s nodes into waves of provider-complete levels: Ψ's DAG
-    check, and its depth as ``n_levels``. Execution does not read this
-    order; the attach follows each closed row's provider instead."""
+    """Group Ψ's HC-s nodes into waves of provider-complete levels: Ψ's one
+    topological order, its DAG check, and its depth as ``n_levels``.
+    :func:`_propagate_pairs` walks it in reverse; execution does not read
+    it, as the attach follows each closed row's provider instead."""
     nodes = {n.nid: n for n in plan.nodes}
     in_deg: dict[int, int] = {n.nid: 0 for n in plan.nodes}
     out: dict[int, list[int]] = defaultdict(list)

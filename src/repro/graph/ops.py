@@ -72,12 +72,3 @@ def reverse_adjacency(adj: dict[int, list[int]]) -> dict[int, list[int]]:
         for v in vs:
             radj.setdefault(v, []).append(u)
     return {u: sorted(vs) for u, vs in radj.items()}
-
-
-def vertices(edges: DataFrame) -> DataFrame:
-    """Distinct vertices incident to at least one edge, column ``v``."""
-    return (
-        edges.select(F.col("src").alias("v"))
-        .unionAll(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )

@@ -1,14 +1,25 @@
 """Invariants of the shared execution plan on randomized batches: depth cap,
-prune-pair propagation, stop-rule/provider consistency."""
+prune-pair propagation, stop-rule/provider consistency; and the planner's
+exact output pinned over a grid of batches."""
 from __future__ import annotations
 
+import hashlib
 from collections import defaultdict
+from dataclasses import astuple
 
 import pytest
 
 from repro.core import ref_engine as ref
+from repro.core.basic_enum import compute_splits
+from repro.core.clustering import cluster_queries
 from repro.core.queries import gen_queries
-from repro.core.sharing import build_shared_plan, default_split
+from repro.core.sharing import (
+    align_splits_per_cluster,
+    build_shared_plan,
+    default_split,
+)
+from repro.core.similarity import pairwise_mu
+from repro.graph.ops import reverse_adjacency
 
 
 def dist_maps(adj, roots, k):
@@ -90,7 +101,6 @@ class TestPlanInvariants:
 
     def test_dominating_nodes_have_budget_ge_2(self, rand_plan):
         qs, plan = rand_plan
-        initial_roots = {(n.root, n.side) for p in plan.plans for n in []}
         init_nids = {p.fnid for p in plan.plans} | {p.bnid for p in plan.plans}
         for n in plan.nodes:
             if n.nid not in init_nids:
@@ -100,3 +110,62 @@ class TestPlanInvariants:
         _, plan = rand_plan
         for e in plan.edges:
             assert e.provider != e.consumer
+
+
+def _pdf_adjacency(pdf):
+    """Driver adjacency straight from a pandas edge frame (no Spark)."""
+    adj: dict[int, list[int]] = {}
+    for u, v in zip(pdf["src"].tolist(), pdf["dst"].tolist()):
+        adj.setdefault(u, []).append(v)
+    return {u: sorted(vs) for u, vs in adj.items()}
+
+
+# sha256 over the plans of test_plan_digest_pinned's grid: a planner change
+# that alters any node, edge, stop, cap or level changes it.
+PLAN_DIGEST = "7a151672e8e95ad0b56c04410e3573f7d6962f06d9a1e5490e238bfe54b61fd3"
+
+
+def test_plan_digest_pinned(tiny_pdf, small_pdf):
+    """Every part of Ψ's plan is pinned, byte for byte, over a grid of
+    batches: graph × seed × share × γ × split × ``max_depth``. The planner
+    is driver-only, so this runs without Spark; it is the baseline any
+    rewrite or fuzzer of ``build_shared_plan`` starts from."""
+    h = hashlib.sha256()
+    levels_seen = set()
+    n_plans = 0
+    for pdf, n, seeds in ((tiny_pdf, 12, range(1, 16)), (small_pdf, 20, range(1, 9))):
+        adj = _pdf_adjacency(pdf)
+        radj = reverse_adjacency(adj)
+        for seed in seeds:
+            for share in (0.0, 0.5, 0.9):
+                qs = gen_queries(
+                    adj, n, k_range=(3, 5), share=share, min_dist=2, seed=seed
+                )
+                k = max(q.k for q in qs)
+                dfs = dist_maps(adj, sorted({q.s for q in qs}), k)
+                dtt = dist_maps(radj, sorted({q.t for q in qs}), k)
+                mu = pairwise_mu(dfs, dtt, qs)
+                for gamma in (0.0, 0.5, 1.0):
+                    clusters = cluster_queries(mu, [q.qid for q in qs], gamma)
+                    for optimized in (False, True):
+                        splits = compute_splits(qs, optimized, dfs, dtt)
+                        if optimized:
+                            splits = align_splits_per_cluster(qs, clusters, splits)
+                        for max_depth in (1, 2, 3, 4):
+                            plan = build_shared_plan(
+                                qs, clusters, splits, adj, radj, dfs, dtt,
+                                max_depth=max_depth,
+                            )
+                            h.update(repr((
+                                [astuple(x) for x in plan.nodes],
+                                [astuple(x) for x in plan.edges],
+                                [astuple(x) for x in plan.plans],
+                                [astuple(x) for x in plan.stops],
+                                plan.prune_pairs,
+                                [[x.nid for x in lv] for lv in plan.topo_levels],
+                            )).encode())
+                            levels_seen.add(len(plan.topo_levels))
+                            n_plans += 1
+    assert n_plans == 1656
+    assert levels_seen == {1, 2, 3, 4}
+    assert h.hexdigest() == PLAN_DIGEST
