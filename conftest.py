@@ -72,3 +72,11 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
+    """Mark every test that needs the Spark session, directly or through
+    another fixture, so ``-m "not spark"`` runs the Spark-free tests alone."""
+    for item in items:
+        if "spark" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.spark)

@@ -35,7 +35,7 @@ from repro.core.enumeration import (
     no_paths,
 )
 from repro.core.queries import Query
-from repro.core.sharing import align_splits_per_cluster, build_shared_plan
+from repro.core.sharing import MAX_DEPTH, align_splits_per_cluster, build_shared_plan
 from repro.core.similarity import batch_similarity, pairwise_mu
 from repro.graph.ops import (
     checkpoint_counted,
@@ -53,7 +53,7 @@ def run_batch(
     *,
     gamma: float = 0.5,
     optimized: bool = False,
-    max_depth: int = 4,
+    max_depth: int = MAX_DEPTH,
 ) -> RunResult:
     """Run Algorithm 4 over the batch; returns all HC-s-t paths per query.
 

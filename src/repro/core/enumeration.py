@@ -91,12 +91,12 @@ _EMPTY_SCHEMA = (
 
 
 def empty_paths(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], _EMPTY_SCHEMA)
+    return local_frame(spark, [], _EMPTY_SCHEMA)
 
 
 def no_paths(spark: SparkSession) -> DataFrame:
     """The empty ``(qid, path)`` answer of a batch with nothing to assemble."""
-    return spark.createDataFrame([], "qid long, path array<long>")
+    return local_frame(spark, [], "qid long, path array<long>")
 
 
 def build_allow(

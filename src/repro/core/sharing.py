@@ -16,8 +16,10 @@ by remaining hop budget (Alg 3's ``S_Q`` at iteration ``k``):
 
 Ψ edges point provider → consumer. A link that would close a cycle is
 skipped (the consumer keeps searching through the vertex instead), keeping
-Ψ a DAG as Theorem 4.1 requires. After detection, Ψ is sorted once into
-topological levels (:func:`_topo_levels`, which also checks it is a DAG).
+Ψ a DAG as Theorem 4.1 requires. Each detector keeps every node's longest
+provider chain (``level``) and consumer chain (``height``) as it links, so
+the depth cap reads two numbers and Ψ's topological levels are the nodes
+grouped by ``level`` (a Kahn level is exactly the longest chain from a root).
 Walked in reverse, the same order propagates consumer target/cap pairs
 provider-ward, so every node's enumeration is pruned exactly as hard as its
 *most demanding* transitive consumer allows (DESIGN.md §2).
@@ -31,6 +33,9 @@ from repro.core.enumeration import DistMap, HcsNode, QueryPlan, StopRule
 from repro.core.queries import Query
 
 Adj = dict[int, list[int]]
+
+# Longest provider chain Ψ may hold, counted in nodes (= topological levels).
+MAX_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ class _Detector:
         adj: Adj,
         dist_far: DistMap,
         nid_start: int,
-        max_depth: int = 4,
+        max_depth: int = MAX_DEPTH,
     ) -> None:
         self.side = side
         self.adj = adj
@@ -159,6 +164,8 @@ class _Detector:
         self.m_q: dict[int, int] = {}  # root vertex -> nid
         self.pairs: dict[int, dict[int, int]] = defaultdict(dict)  # nid -> {t: cap}
         self.consumers: dict[int, set[int]] = defaultdict(set)  # provider -> consumers
+        self.level: dict[int, int] = {}  # nid -> edges on its longest provider chain
+        self.height: dict[int, int] = {}  # nid -> edges on its longest consumer chain
         self.pushed: set[tuple[int, int]] = set()  # (nid, vertex) wave dedup
         # remaining -> vertex -> arrival nids, filled by _push_from
         self.pend: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
@@ -167,6 +174,7 @@ class _Detector:
         n = HcsNode(self.next_nid, root, budget, self.side)
         self.next_nid += 1
         self.nodes[n.nid] = n
+        self.level[n.nid] = self.height[n.nid] = 0
         return n
 
     def _add_pair(self, nid: int, t: int, cap: int) -> None:
@@ -174,44 +182,50 @@ class _Detector:
         if cap > cur.get(t, -(10**9)):
             cur[t] = cap
 
-    def _below(self, nid: int) -> dict[int, int]:
-        """Every node reachable from ``nid`` along provider→consumer edges,
-        with the longest chain (edges counted) to it; ``nid`` itself at 0."""
-        depth = {nid: 0}
-        stack = [nid]
+    def _reaches(self, src: int, dst: int) -> bool:
+        """Whether ``dst`` is ``src`` or lies below it along
+        provider→consumer edges."""
+        seen: set[int] = set()
+        stack = [src]
         while stack:
             u = stack.pop()
-            for c in self.consumers.get(u, ()):
-                if depth[u] + 1 > depth.get(c, -1):
-                    depth[c] = depth[u] + 1
-                    stack.append(c)
-        return depth
+            if u == dst:
+                return True
+            if u not in seen:
+                seen.add(u)
+                stack.extend(self.consumers.get(u, ()))
+        return False
 
-    def _chain_up(self, nid: int) -> int:
-        """Longest provider chain ending at ``nid`` (edges counted)."""
-        best = 0
-        for p in self.providers.get(nid, ()):
-            best = max(best, 1 + self._chain_up(p))
-        return best
+    @staticmethod
+    def _raise(depth: dict[int, int], nid: int, value: int, nxt: dict[int, set[int]]) -> None:
+        """Raise ``depth[nid]`` to ``value`` and push the rise along ``nxt``
+        (one more per edge); stops wherever the depth is already as high."""
+        stack = [(nid, value)]
+        while stack:
+            u, d = stack.pop()
+            if d > depth[u]:
+                depth[u] = d
+                stack.extend((v, d + 1) for v in nxt.get(u, ()))
 
     def _link(self, provider: int, consumer: int, attach: int, ra: int) -> bool:
         """Add Ψ edge provider→consumer unless it would create a cycle or
-        push the longest provider chain past ``max_depth``. Both checks read
-        one walk below the consumer: a cycle iff the provider is in it (or is
-        the consumer), and its deepest node ends the chain's lower part.
+        push the longest provider chain past ``max_depth``: the chain through
+        the new edge is the provider's ``level``, the edge and the
+        consumer's ``height``.
 
         The depth cap bounds the sequential attach rounds of the
         enumeration phase — each chain link a closed prefix follows costs
         one attach join, while the bulk of the sharing benefit sits in the
         first links (DESIGN.md §2)."""
-        below = self._below(consumer)
-        if provider in below:
+        if self._reaches(consumer, provider):
             return False
-        if self._chain_up(provider) + 1 + max(below.values()) > self.max_depth - 1:
+        if self.level[provider] + 1 + self.height[consumer] > self.max_depth - 1:
             return False
         self.edges.append(PsiEdge(provider, consumer, attach, ra))
         self.consumers[provider].add(consumer)
         self.providers[consumer].add(provider)
+        self._raise(self.level, consumer, self.level[provider] + 1, self.consumers)
+        self._raise(self.height, provider, self.height[consumer] + 1, self.providers)
         # Provider inherits the consumer's current pairs (shifted to the
         # provider's local hop frame) so its remaining wave is pruned for
         # this consumer too; exact caps are recomputed by propagate_pairs.
@@ -253,7 +267,7 @@ class _Detector:
                         if not self._link(owner, x, v, rem):
                             self._push_from(x, v, rem)
                 elif len(s_q) > 1 and rem >= 2:
-                    # A fresh dominating node has no providers (chain-up 0);
+                    # A fresh dominating node has no providers (level 0);
                     # pre-check the depth cap per consumer so we only create
                     # it when ≥ 2 consumers can actually share it. Budget-1
                     # nodes would only share single-edge hops — the
@@ -261,7 +275,7 @@ class _Detector:
                     # avoid — so they are not created at all.
                     ok = [
                         x for x in s_q
-                        if 1 + max(self._below(x).values()) <= self.max_depth - 1
+                        if 1 + self.height[x] <= self.max_depth - 1
                     ]
                     if len(ok) >= 2:
                         d = self._new_node(v, rem)
@@ -299,12 +313,13 @@ def build_shared_plan(
     radj: Adj,
     dist_from_s: DistMap,
     dist_to_t: DistMap,
-    max_depth: int = 4,
+    max_depth: int = MAX_DEPTH,
 ) -> ExecPlan:
     """BatchEnum's plan: run Alg 3 per cluster on G and G_r, merge the
-    resulting Ψ fragments, topo-sort Ψ, and propagate prune pairs in that
-    order. Each Ψ edge is one stop rule: a consumer reaches a vertex at most
-    once and stops where it links, so no (consumer, vertex) has two edges.
+    resulting Ψ fragments and their chain levels, group Ψ into topological
+    levels, and propagate prune pairs in that order. Each Ψ edge is one stop
+    rule: a consumer reaches a vertex at most once and stops where it links,
+    so no (consumer, vertex) has two edges.
 
     ``dist_from_s[s][v] = dist_G(s, v)`` (prunes the G_r side);
     ``dist_to_t[t][v] = dist_{G_r}(t, v) = dist_G(v, t)`` (prunes the G
@@ -316,34 +331,30 @@ def build_shared_plan(
     plan = ExecPlan()
     nid = 0
     all_pairs: dict[int, dict[int, int]] = defaultdict(dict)
+    level: dict[int, int] = {}
     fnid: dict[int, int] = {}  # qid -> forward node, kept for the B pass
     for cluster in clusters:
         qs = [by_qid[qid] for qid in cluster]
         for side, graph, dist_far in (("F", adj, dist_to_t), ("B", radj, dist_from_s)):
-            # Initial nodes: one per distinct root, budget = max over queries.
+            # Initial nodes: one per distinct root, budget = max over queries,
+            # with each query's (far endpoint, k) as a direct prune pair.
             root_budget: dict[int, int] = {}
+            root_pairs: dict[int, list[tuple[int, int]]] = defaultdict(list)
             for q in qs:
                 a = splits[q.qid]
-                root, budget = (q.s, a) if side == "F" else (q.t, q.k - a)
+                root, budget, far = (q.s, a, q.t) if side == "F" else (q.t, q.k - a, q.s)
                 root_budget[root] = max(root_budget.get(root, 0), budget)
+                root_pairs[root].append((far, q.k))
             det = _Detector(side, graph, dist_far, nid, max_depth=max_depth)
-            initial = []
-            node_of_root: dict[int, HcsNode] = {}
-            for root in sorted(root_budget):
-                n = det._new_node(root, root_budget[root])
-                node_of_root[root] = n
-                pairs = []
-                for q in qs:
-                    if side == "F" and q.s == root:
-                        pairs.append((q.t, q.k))
-                    elif side == "B" and q.t == root:
-                        pairs.append((q.s, q.k))
-                initial.append((n, pairs))
-            det.run(initial)
+            node_of_root = {
+                root: det._new_node(root, root_budget[root]) for root in sorted(root_budget)
+            }
+            det.run([(n, root_pairs[root]) for root, n in node_of_root.items()])
             nid = det.next_nid
             plan.nodes += list(det.nodes.values())
             plan.edges += det.edges
             all_pairs.update(det.pairs)  # each detector numbers its own nodes
+            level.update(det.level)
             for q in qs:
                 if side == "F":
                     fnid[q.qid] = node_of_root[q.s].nid
@@ -352,7 +363,11 @@ def build_shared_plan(
                         q.qid, q.s, q.t, q.k, splits[q.qid],
                         fnid[q.qid], node_of_root[q.t].nid,
                     ))
-    plan.topo_levels = _topo_levels(plan)
+    if any(level[e.provider] >= level[e.consumer] for e in plan.edges):
+        raise RuntimeError("Ψ is not a DAG — cycle guard failed")
+    plan.topo_levels = [[] for _ in range(max(level.values(), default=-1) + 1)]
+    for n in plan.nodes:  # in nid order
+        plan.topo_levels[level[n.nid]].append(n)
     _propagate_pairs(plan, all_pairs)
     plan.prune_pairs = [
         (n_id, t, cap)
@@ -382,32 +397,3 @@ def _propagate_pairs(plan: ExecPlan, pairs: dict[int, dict[int, int]]) -> None:
                     new_cap = cap - shift
                     if new_cap > pairs[e.provider].get(t, -(10**9)):
                         pairs[e.provider][t] = new_cap
-
-
-def _topo_levels(plan: ExecPlan) -> list[list[HcsNode]]:
-    """Group Ψ's HC-s nodes into waves of provider-complete levels: Ψ's one
-    topological order, its DAG check, and its depth as ``n_levels``.
-    :func:`_propagate_pairs` walks it in reverse; execution does not read
-    it, as the attach follows each closed row's provider instead."""
-    nodes = {n.nid: n for n in plan.nodes}
-    in_deg: dict[int, int] = {n.nid: 0 for n in plan.nodes}
-    out: dict[int, list[int]] = defaultdict(list)
-    for e in plan.edges:
-        in_deg[e.consumer] += 1
-        out[e.provider].append(e.consumer)
-    level = sorted(nid for nid, d in in_deg.items() if d == 0)
-    levels: list[list[HcsNode]] = []
-    done = 0
-    while level:
-        levels.append([nodes[nid] for nid in level])
-        done += len(level)
-        nxt = []
-        for nid in level:
-            for c in out.get(nid, ()):
-                in_deg[c] -= 1
-                if in_deg[c] == 0:
-                    nxt.append(c)
-        level = sorted(set(nxt))
-    if done != len(plan.nodes):
-        raise RuntimeError("Ψ is not a DAG — cycle guard failed")
-    return levels

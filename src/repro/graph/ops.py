@@ -12,10 +12,16 @@ def local_frame(spark: SparkSession, rows: list[tuple], schema: str) -> DataFram
     ``schema`` is a DDL string (``"nid long, side string"``). Built from
     pandas through Arrow, the table plans as a ``LocalTableScan``; the same
     rows passed as a Python list would plan as a scan of a Python RDD, which
-    starts a Python worker on every scan (DESIGN.md §2). An empty ``rows``
-    still falls back to that slow path, so hot-path callers avoid it.
+    starts a Python worker on every scan (DESIGN.md §2). An empty pandas
+    frame takes that Python path too, so an empty ``rows`` is a zero-row
+    range with one typed null column per field.
     """
-    columns = [field.split()[0] for field in schema.split(",")]
+    fields = [field.split(None, 1) for field in schema.split(",")]
+    if not rows:
+        return spark.range(0).select(
+            *(F.lit(None).cast(dtype).alias(name) for name, dtype in fields)
+        )
+    columns = [name for name, _ in fields]
     return spark.createDataFrame(pd.DataFrame(rows, columns=columns), schema)
 
 

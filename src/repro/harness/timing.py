@@ -24,7 +24,3 @@ class StageTimer:
             self.seconds[name] = self.seconds.get(name, 0.0) + (
                 time.perf_counter() - t0
             )
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())

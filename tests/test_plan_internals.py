@@ -10,6 +10,7 @@ from dataclasses import astuple
 import pytest
 
 from repro.core import ref_engine as ref
+from repro.core import sharing
 from repro.core.basic_enum import compute_splits
 from repro.core.clustering import cluster_queries
 from repro.core.queries import gen_queries
@@ -19,6 +20,7 @@ from repro.core.sharing import (
     default_split,
 )
 from repro.core.similarity import pairwise_mu
+from repro.graph.generators import DATASETS, powerlaw_edges
 from repro.graph.ops import reverse_adjacency
 
 
@@ -43,7 +45,7 @@ def rand_plan(request, tiny_adj, tiny_radj):
 class TestPlanInvariants:
     def test_depth_cap_respected(self, rand_plan):
         _, plan = rand_plan
-        assert len(plan.topo_levels) <= 4  # default max_depth
+        assert len(plan.topo_levels) <= sharing.MAX_DEPTH
 
     def test_levels_partition_nodes(self, rand_plan):
         _, plan = rand_plan
@@ -125,6 +127,25 @@ def _pdf_adjacency(pdf):
 PLAN_DIGEST = "7a151672e8e95ad0b56c04410e3573f7d6962f06d9a1e5490e238bfe54b61fd3"
 
 
+def _grid_plans(adj, radj, n, seed, share, gammas, max_depths):
+    """``(max_depth, plan)`` for one batch over γ × split × ``max_depth``."""
+    qs = gen_queries(adj, n, k_range=(3, 5), share=share, min_dist=2, seed=seed)
+    k = max(q.k for q in qs)
+    dfs = dist_maps(adj, sorted({q.s for q in qs}), k)
+    dtt = dist_maps(radj, sorted({q.t for q in qs}), k)
+    mu = pairwise_mu(dfs, dtt, qs)
+    for gamma in gammas:
+        clusters = cluster_queries(mu, [q.qid for q in qs], gamma)
+        for optimized in (False, True):
+            splits = compute_splits(qs, optimized, dfs, dtt)
+            if optimized:
+                splits = align_splits_per_cluster(qs, clusters, splits)
+            for max_depth in max_depths:
+                yield max_depth, build_shared_plan(
+                    qs, clusters, splits, adj, radj, dfs, dtt, max_depth=max_depth,
+                )
+
+
 def test_plan_digest_pinned(tiny_pdf, small_pdf):
     """Every part of Ψ's plan is pinned, byte for byte, over a grid of
     batches: graph × seed × share × γ × split × ``max_depth``. The planner
@@ -138,34 +159,91 @@ def test_plan_digest_pinned(tiny_pdf, small_pdf):
         radj = reverse_adjacency(adj)
         for seed in seeds:
             for share in (0.0, 0.5, 0.9):
-                qs = gen_queries(
-                    adj, n, k_range=(3, 5), share=share, min_dist=2, seed=seed
-                )
-                k = max(q.k for q in qs)
-                dfs = dist_maps(adj, sorted({q.s for q in qs}), k)
-                dtt = dist_maps(radj, sorted({q.t for q in qs}), k)
-                mu = pairwise_mu(dfs, dtt, qs)
-                for gamma in (0.0, 0.5, 1.0):
-                    clusters = cluster_queries(mu, [q.qid for q in qs], gamma)
-                    for optimized in (False, True):
-                        splits = compute_splits(qs, optimized, dfs, dtt)
-                        if optimized:
-                            splits = align_splits_per_cluster(qs, clusters, splits)
-                        for max_depth in (1, 2, 3, 4):
-                            plan = build_shared_plan(
-                                qs, clusters, splits, adj, radj, dfs, dtt,
-                                max_depth=max_depth,
-                            )
-                            h.update(repr((
-                                [astuple(x) for x in plan.nodes],
-                                [astuple(x) for x in plan.edges],
-                                [astuple(x) for x in plan.plans],
-                                [astuple(x) for x in plan.stops],
-                                plan.prune_pairs,
-                                [[x.nid for x in lv] for lv in plan.topo_levels],
-                            )).encode())
-                            levels_seen.add(len(plan.topo_levels))
-                            n_plans += 1
+                for _, plan in _grid_plans(
+                    adj, radj, n, seed, share, (0.0, 0.5, 1.0), (1, 2, 3, 4)
+                ):
+                    h.update(repr((
+                        [astuple(x) for x in plan.nodes],
+                        [astuple(x) for x in plan.edges],
+                        [astuple(x) for x in plan.plans],
+                        [astuple(x) for x in plan.stops],
+                        plan.prune_pairs,
+                        [[x.nid for x in lv] for lv in plan.topo_levels],
+                    )).encode())
+                    levels_seen.add(len(plan.topo_levels))
+                    n_plans += 1
     assert n_plans == 1656
     assert levels_seen == {1, 2, 3, 4}
     assert h.hexdigest() == PLAN_DIGEST
+
+
+def kahn_levels(plan):
+    """Reference topological levels of Ψ, as nid lists: Kahn's algorithm
+    over ``plan.edges``, each level in nid order; ``None`` on a cycle."""
+    in_deg = {n.nid: 0 for n in plan.nodes}
+    out = defaultdict(list)
+    for e in plan.edges:
+        in_deg[e.consumer] += 1
+        out[e.provider].append(e.consumer)
+    level = sorted(nid for nid, d in in_deg.items() if d == 0)
+    levels = []
+    while level:
+        levels.append(level)
+        nxt = []
+        for nid in level:
+            for c in out[nid]:
+                in_deg[c] -= 1
+                if in_deg[c] == 0:
+                    nxt.append(c)
+        level = sorted(set(nxt))
+    return levels if sum(map(len, levels)) == len(plan.nodes) else None
+
+
+def assert_levels(plan, max_depth):
+    levels = [[n.nid for n in lv] for lv in plan.topo_levels]
+    assert levels == kahn_levels(plan)
+    at = {nid: i for i, lv in enumerate(levels) for nid in lv}
+    assert all(at[e.provider] < at[e.consumer] for e in plan.edges)
+    assert len(levels) <= max_depth
+
+
+def test_levels_match_kahn(tiny_pdf, small_pdf):
+    """The levels read off the planner's chain map are Kahn's levels, with
+    and without a depth cap."""
+    levels_seen = set()
+    for pdf, n, seeds in ((tiny_pdf, 12, range(1, 6)), (small_pdf, 20, range(1, 4))):
+        adj = _pdf_adjacency(pdf)
+        radj = reverse_adjacency(adj)
+        for seed in seeds:
+            for share in (0.5, 0.9):
+                for max_depth, plan in _grid_plans(
+                    adj, radj, n, seed, share, (0.0, 0.5), (1, 2, 3, 4, 10**6)
+                ):
+                    assert_levels(plan, max_depth)
+                    levels_seen.add(len(plan.topo_levels))
+    assert max(levels_seen) > 4  # the uncapped plans go deeper than the cap
+
+
+def test_uncapped_deep_plan():
+    """SL, |Q| = 100: with no depth cap Ψ chains 47 levels deep, and the
+    planner still reads them off in one pass."""
+    adj = _pdf_adjacency(powerlaw_edges(DATASETS["SL"]))
+    radj = reverse_adjacency(adj)
+    qs = gen_queries(adj, 100, k_range=(4, 6), share=0.6, min_dist=3, seed=1)
+    dfs = dist_maps(adj, sorted({q.s for q in qs}), 6)
+    dtt = dist_maps(radj, sorted({q.t for q in qs}), 6)
+    clusters = cluster_queries(pairwise_mu(dfs, dtt, qs), [q.qid for q in qs], 0.5)
+    splits = {q.qid: default_split(q) for q in qs}
+    plan = build_shared_plan(qs, clusters, splits, adj, radj, dfs, dtt, max_depth=10**6)
+    assert_levels(plan, 10**6)
+    assert len(plan.topo_levels) == 47
+
+
+def test_non_rising_edge_raises(tiny_pdf, monkeypatch):
+    """An edge whose provider does not sit in a lower level than its
+    consumer fails the DAG guard instead of yielding a wrong order."""
+    adj = _pdf_adjacency(tiny_pdf)
+    radj = reverse_adjacency(adj)
+    monkeypatch.setattr(sharing._Detector, "_raise", staticmethod(lambda *_: None))
+    with pytest.raises(RuntimeError, match="not a DAG"):
+        next(_grid_plans(adj, radj, 12, 2, 0.9, (0.5,), (4,)))
