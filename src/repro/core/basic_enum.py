@@ -1,7 +1,7 @@
 """BasicEnum / BasicEnum⁺ (Algorithm 1): the batch baseline.
 
-One shared distance index is built by multi-source BFS from all sources and
-all targets and collected to the driver once; every query is then answered
+The edge table is collected once and one shared distance index is built on
+the driver by BFS from all sources and targets; every query is then answered
 independently by PathEnum's index-pruned bidirectional search — all queries
 ride the same batched Spark pipeline (one row-space keyed by query), but no
 intermediate results are shared across queries. ``optimized=True`` is
@@ -26,7 +26,12 @@ from repro.core.enumeration import (
 from repro.core.index import collect_dists
 from repro.core.queries import Query
 from repro.core.sharing import build_basic_plan, default_split, optimized_split
-from repro.graph.ops import checkpoint_counted, reverse_edges
+from repro.graph.ops import (
+    checkpoint_counted,
+    collect_adjacency,
+    reverse_adjacency,
+    reverse_edges,
+)
 from repro.harness.timing import StageTimer
 
 
@@ -76,12 +81,14 @@ def run_basic(
     rev = reverse_edges(edges)
     k_max = max(q.k for q in queries)
     with timer.stage("build_index"):
+        # collect_adjacency and collect_dists are imported by name, unlike
+        # idx.bidirectional_index: perfbench's trace lists no ops or
+        # index_collect layer for BasicEnum, so both are charged to run_basic
+        adj = collect_adjacency(edges)
         fwd_index, bwd_index = idx.bidirectional_index(
-            spark, edges, rev, [q.s for q in queries], [q.t for q in queries], k_max
+            spark, adj, reverse_adjacency(adj),
+            [q.s for q in queries], [q.t for q in queries], k_max,
         )
-        # imported by name, unlike idx.bidirectional_index: perfbench's trace
-        # lists no index_collect layer for BasicEnum, so these two jobs are
-        # charged to run_basic itself
         dist_from_s = collect_dists(fwd_index)
         dist_to_t = collect_dists(bwd_index)
     with timer.stage("enumeration"):

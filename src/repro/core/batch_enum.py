@@ -2,7 +2,8 @@
 
 Pipeline (Alg 4 lines 1-16):
 
-1. **BuildIndex** — shared multi-source BFS index (same as BasicEnum).
+1. **BuildIndex** — the edge table collected once, then the shared BFS
+   index on the driver (as BasicEnum); Alg 3 reads the same adjacency.
 2. **ClusterQuery** — pairwise μ from the index's Γ reach sets, read from
    the ``{root: {v: dist}}`` maps collected to the driver once (Alg 3, the
    ⁺ split counts and the allow table use the same maps), then driver-side
@@ -73,8 +74,11 @@ def run_batch(
     k_max = max(q.k for q in queries)
 
     with timer.stage("build_index"):
+        # one edge collect feeds both the index BFS and Alg 3's detection
+        adj = collect_adjacency(edges)
+        radj = reverse_adjacency(adj)
         fwd_index, bwd_index = idx.bidirectional_index(
-            spark, edges, rev, [q.s for q in queries], [q.t for q in queries], k_max
+            spark, adj, radj, [q.s for q in queries], [q.t for q in queries], k_max
         )
 
     with timer.stage("cluster_query"):
@@ -85,8 +89,6 @@ def run_batch(
         mu_q = batch_similarity(mu, len(queries))
 
     with timer.stage("identify_subquery"):
-        adj = collect_adjacency(edges)
-        radj = reverse_adjacency(adj)
         splits = compute_splits(queries, optimized, dist_from_s, dist_to_t)
         if optimized:
             splits = align_splits_per_cluster(queries, clusters, splits)

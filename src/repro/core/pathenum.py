@@ -2,10 +2,11 @@
 
 Processes each query of the batch in isolation, exactly as the paper's
 baseline does: a private two-BFS index (from ``s`` on G and ``t`` on G_r,
-bounded by that query's ``k``) followed by the index-pruned bidirectional
-search and ⊕ concatenation. The batch cost is the sum of per-query jobs —
-no index sharing, no computation sharing; this is what BasicEnum improves
-on via the shared multi-source index, and BatchEnum via Ψ.
+bounded by that query's ``k``, over its own edge collect) followed by the
+index-pruned bidirectional search and ⊕ concatenation. The batch cost is
+the sum of per-query jobs — no index sharing, no computation sharing; this
+is what BasicEnum improves on via the shared multi-source index, and
+BatchEnum via Ψ.
 """
 from __future__ import annotations
 

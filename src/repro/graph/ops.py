@@ -61,8 +61,9 @@ def collect_adjacency(edges: DataFrame) -> dict[int, list[int]]:
     """Out-adjacency as a driver-side dict ``{u: [v, ...]}``.
 
     Used by the driver-resident pieces (query generation over random walks,
-    Alg 3 detection) — these are metadata-sized relative to enumeration, per
-    DESIGN.md §2. Neighbour lists are sorted for determinism.
+    the distance index BFS, Alg 3 detection) — these are metadata-sized
+    relative to enumeration, per DESIGN.md §2. Neighbour lists are sorted
+    for determinism.
     """
     pdf: pd.DataFrame = edges.toPandas()
     adj: dict[int, list[int]] = {}

@@ -232,6 +232,18 @@ class TestDegenerateBatches:
         assert rr.extras["n_paths"] == 0
 
     @RUNNERS
+    def test_endpoint_absent_from_graph(self, spark, paper_edges, paper_adj, run):
+        # The index still seeds a root the graph lacks (at distance 0 only):
+        # its query yields nothing, and the query beside it is unaffected.
+        want = ref.enum_st_paths(paper_adj, 0, 11, 5)
+        assert len(want) == 3
+        for absent in (Query(0, 999, 11, 4), Query(0, 0, 999, 4)):
+            qs = [absent, Query(1, 0, 11, 5)]
+            rr = run(spark, paper_edges, qs)
+            assert by_query(rr, qs) == {0: set(), 1: want}, absent
+            assert rr.extras["n_paths"] == len(want), absent
+
+    @RUNNERS
     def test_source_is_target(self, spark, paper_edges, paper_adj, run):
         # A simple path of ≥ 1 hop never returns to s, and no query has a
         # zero-hop answer: s == t yields nothing, alone or in a batch.

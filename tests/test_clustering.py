@@ -72,14 +72,13 @@ class TestClusterQueries:
         hi = cluster_queries(mu, list(range(4)), min(1.0, gamma + 0.2))
         assert len(lo) <= len(hi)
 
-    def test_paper_example_clustering(self, spark, paper_edges):
+    def test_paper_example_clustering(self, spark, paper_adj, paper_radj):
         from repro.core.index import bidirectional_index, collect_dists
         from repro.core.similarity import pairwise_mu
-        from repro.graph.ops import reverse_edges
         from tests.test_similarity import PAPER_Q
 
         fwd, bwd = bidirectional_index(
-            spark, paper_edges, reverse_edges(paper_edges),
+            spark, paper_adj, paper_radj,
             [q.s for q in PAPER_Q], [q.t for q in PAPER_Q], 5,
         )
         mu = pairwise_mu(collect_dists(fwd), collect_dists(bwd), PAPER_Q)

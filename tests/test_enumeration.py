@@ -35,10 +35,10 @@ def paper_rev(paper_edges):
 
 
 @pytest.fixture(scope="module")
-def paper_dists(spark, paper_edges, paper_rev):
+def paper_dists(spark, paper_adj, paper_radj):
     """``(dist_from_s, dist_to_t)`` maps of the paper queries' index."""
     fwd, bwd = bidirectional_index(
-        spark, paper_edges, paper_rev, [0, 2, 5, 4, 9], [11, 12, 13, 14], 5
+        spark, paper_adj, paper_radj, [0, 2, 5, 4, 9], [11, 12, 13, 14], 5
     )
     return collect_dists(fwd), collect_dists(bwd)
 
@@ -180,15 +180,13 @@ class TestPrunedEnumeration:
 
 
 class TestBuildAllow:
-    def test_matches_brute_force_on_tiny(self, spark, tiny_edges, tiny_adj, tiny_radj):
+    def test_matches_brute_force_on_tiny(self, spark, tiny_adj, tiny_radj):
         """Forward nodes read dist_G(·, t), backward nodes dist_G(s, ·); the
         table holds exactly the (nid, v) with max(cap − dist) ≥ 1."""
         k_max = 4
         roots = sorted(tiny_adj)
         srcs, tgts = roots[:3], roots[-3:]
-        fwd, bwd = bidirectional_index(
-            spark, tiny_edges, reverse_edges(tiny_edges), srcs, tgts, k_max
-        )
+        fwd, bwd = bidirectional_index(spark, tiny_adj, tiny_radj, srcs, tgts, k_max)
         dists = collect_dists(fwd), collect_dists(bwd)
         nodes = [HcsNode(0, srcs[0], 2, "F"), HcsNode(1, srcs[1], 3, "F"),
                  HcsNode(2, tgts[0], 2, "B"), HcsNode(3, tgts[1], 1, "B")]

@@ -1,15 +1,17 @@
 """Property-based tests (hypothesis) over random small digraphs.
 
 These run entirely on the pure-Python reference engine — which the Spark
-pipelines are cross-checked against elsewhere — so hundreds of random cases
-stay cheap. Invariants follow the paper's definitions (simplicity, hop
-bound, HC-s prefix closure, Lemma 4.1 domination containment).
+pipelines are cross-checked against elsewhere — and on the driver-side index
+BFS, so hundreds of random cases stay cheap. Invariants follow the paper's
+definitions (simplicity, hop bound, HC-s prefix closure, Lemma 4.1
+domination containment).
 """
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ref_engine as ref
+from repro.core.index import bfs_index
 from repro.core.similarity import mu_from_coeffs
 
 
@@ -47,6 +49,16 @@ def test_pathenum_equals_naive(adj, s, t, k):
     assert ref.pathenum_ref(adj, radj_of(adj), s, t, k) == ref.enum_st_paths(
         adj, s, t, k
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.lists(st.integers(0, 11), max_size=6), st.integers(0, 5))
+def test_index_bfs_equals_ref(adj, roots, k_max):
+    """The index's BFS gives each distinct root the reference distances;
+    roots may repeat, be sinks, or be absent from the graph (ids ≥ n)."""
+    for g in (adj, radj_of(adj)):
+        assert bfs_index(g, roots, k_max) == {
+            r: ref.bfs_dists(g, r, k_max) for r in set(roots)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -47,16 +47,15 @@ class TestGenQueries:
         n_endpoints = lambda qs: len({(q.s, q.t) for q in qs})  # noqa: E731
         assert n_endpoints(hi) < n_endpoints(lo)
 
-    def test_share_raises_batch_similarity(self, spark, small_edges, small_adj):
+    def test_share_raises_batch_similarity(self, spark, small_adj, small_radj):
         from repro.core.index import bidirectional_index, collect_dists
         from repro.core.similarity import batch_similarity, pairwise_mu
-        from repro.graph.ops import reverse_edges
 
         def mu_q(share):
             qs = gen_queries(small_adj, 12, k_range=(3, 4), share=share, seed=11)
             k = max(q.k for q in qs)
             fwd, bwd = bidirectional_index(
-                spark, small_edges, reverse_edges(small_edges),
+                spark, small_adj, small_radj,
                 [q.s for q in qs], [q.t for q in qs], k,
             )
             mu = pairwise_mu(collect_dists(fwd), collect_dists(bwd), qs)

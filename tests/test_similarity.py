@@ -16,7 +16,6 @@ from repro.core.similarity import (
     mu_from_coeffs,
     pairwise_mu,
 )
-from repro.graph.ops import reverse_edges
 from tests.test_index import fwd_index
 
 PAPER_Q = [
@@ -51,9 +50,9 @@ class TestMuFromCoeffs:
 
 
 @pytest.fixture(scope="module")
-def paper_mu(spark, paper_edges):
+def paper_mu(spark, paper_adj, paper_radj):
     fwd, bwd = bidirectional_index(
-        spark, paper_edges, reverse_edges(paper_edges),
+        spark, paper_adj, paper_radj,
         [q.s for q in PAPER_Q], [q.t for q in PAPER_Q], 5,
     )
     return pairwise_mu(collect_dists(fwd), collect_dists(bwd), PAPER_Q)
@@ -86,20 +85,20 @@ class TestPaperExample41:
 
 
 class TestGammaMembers:
-    def test_matches_ref_reach_sets(self, spark, paper_edges, paper_adj):
-        fwd = fwd_index(spark, paper_edges, [q.s for q in PAPER_Q], 5)
+    def test_matches_ref_reach_sets(self, spark, paper_adj):
+        fwd = fwd_index(spark, paper_adj, [q.s for q in PAPER_Q], 5)
         by_q = gamma_sets(collect_dists(fwd), PAPER_Q, by_target=False)
         for q in PAPER_Q:
             assert by_q[q.qid] == set(ref.reach_set(paper_adj, q.s, q.k)), q
 
-    def test_gamma_q3_paper_listing(self, spark, paper_edges):
-        fwd = fwd_index(spark, paper_edges, [4], 4)
+    def test_gamma_q3_paper_listing(self, spark, paper_adj):
+        fwd = fwd_index(spark, paper_adj, [4], 4)
         got = gamma_sets(collect_dists(fwd), [Query(3, 4, 14, 4)], by_target=False)[3]
         # Example 4.1: Γ(q3) = {v4,v9,v3,v8,v15,v6,v11,v13,v14}
         assert got == {4, 9, 3, 8, 15, 6, 11, 13, 14}
 
-    def test_gamma_q4_paper_listing(self, spark, paper_edges):
-        fwd = fwd_index(spark, paper_edges, [9], 3)
+    def test_gamma_q4_paper_listing(self, spark, paper_adj):
+        fwd = fwd_index(spark, paper_adj, [9], 3)
         got = gamma_sets(collect_dists(fwd), [Query(4, 9, 14, 3)], by_target=False)[4]
         assert got == {9, 3, 8, 15, 6, 11, 13, 14}
 
