@@ -14,17 +14,18 @@ Accordingly:
   and backward half-searches joined at the meeting vertex.
 
 Both run over the same batched Spark pipeline as BasicEnum (a charitable
-adaptation — per-query sequential runs would only be slower).
+adaptation — per-query sequential runs would only be slower), reading every
+edge on each node's reach (``enumeration.unpruned_adjacency``).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.basic_enum import RunResult
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
-from repro.core.queries import Query
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, unpruned_adjacency
+from repro.core.queries import Query, check_unique_qids
 from repro.core.sharing import build_basic_plan, default_split
-from repro.graph.ops import checkpoint_counted, reverse_edges
+from repro.graph.ops import checkpoint_counted, collect_adjacency, reverse_adjacency
 from repro.harness.timing import StageTimer
 
 
@@ -34,13 +35,14 @@ def _run_unpruned(
     queries: list[Query],
     splits: dict[int, int],
 ) -> RunResult:
+    check_unique_qids(queries)
     timer = StageTimer()
     stats = EnumStats()
-    rev = reverse_edges(edges)
     with timer.stage("enumeration"):
         plan = build_basic_plan(queries, splits)
-        # the adaptation: no allow table, so no HC-specific index pruning
-        paths = enumerate_nodes(spark, edges, rev, plan.nodes, None, stats=stats)
+        adj = collect_adjacency(edges)
+        padj = unpruned_adjacency(spark, plan.nodes, adj, reverse_adjacency(adj))
+        paths = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
     return RunResult(results, timer.seconds, stats, {"n_paths": seen["rows"]})
 

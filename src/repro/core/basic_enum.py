@@ -16,22 +16,11 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import enumeration
 from repro.core import index as idx
-from repro.core.enumeration import (
-    DistMap,
-    EnumStats,
-    assemble,
-    enumerate_nodes,
-    no_paths,
-)
-from repro.core.index import collect_dists
-from repro.core.queries import Query
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
+from repro.core.index import DistMap, collect_dists
+from repro.core.queries import Query, check_unique_qids
 from repro.core.sharing import build_basic_plan, default_split, optimized_split
-from repro.graph.ops import (
-    checkpoint_counted,
-    collect_adjacency,
-    reverse_adjacency,
-    reverse_edges,
-)
+from repro.graph.ops import checkpoint_counted, collect_adjacency, reverse_adjacency
 from repro.harness.timing import StageTimer
 
 
@@ -72,21 +61,22 @@ def run_basic(
     optimized: bool = False,
 ) -> RunResult:
     """Run Algorithm 1 over the batch; returns all HC-s-t paths per query."""
+    check_unique_qids(queries)
     timer = StageTimer()
     stats = EnumStats()
     if not queries:
         return RunResult(
             no_paths(spark), timer.seconds, stats, {"n_paths": 0, "n_nodes": 0}
         )
-    rev = reverse_edges(edges)
     k_max = max(q.k for q in queries)
     with timer.stage("build_index"):
         # collect_adjacency and collect_dists are imported by name, unlike
         # idx.bidirectional_index: perfbench's trace lists no ops or
         # index_collect layer for BasicEnum, so both are charged to run_basic
         adj = collect_adjacency(edges)
+        radj = reverse_adjacency(adj)
         fwd_index, bwd_index = idx.bidirectional_index(
-            spark, adj, reverse_adjacency(adj),
+            spark, adj, radj,
             [q.s for q in queries], [q.t for q in queries], k_max,
         )
         dist_from_s = collect_dists(fwd_index)
@@ -95,8 +85,8 @@ def run_basic(
         splits = compute_splits(queries, optimized, dist_from_s, dist_to_t)
         plan = build_basic_plan(queries, splits)
         # looked up on its module, where perfbench's trace wraps it
-        allow = enumeration.build_allow(spark, plan, dist_from_s, dist_to_t)
-        paths = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
+        padj = enumeration.build_allow(spark, plan, adj, radj, dist_from_s, dist_to_t)
+        paths = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
     return RunResult(
         results, timer.seconds, stats,

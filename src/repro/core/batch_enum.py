@@ -6,12 +6,12 @@ Pipeline (Alg 4 lines 1-16):
    index on the driver (as BasicEnum); Alg 3 reads the same adjacency.
 2. **ClusterQuery** — pairwise μ from the index's Γ reach sets, read from
    the ``{root: {v: dist}}`` maps collected to the driver once (Alg 3, the
-   ⁺ split counts and the allow table use the same maps), then driver-side
-   hierarchical clustering at threshold γ.
+   ⁺ split counts and the pruned adjacency use the same maps), then
+   driver-side hierarchical clustering at threshold γ.
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
 4. **Enumeration** — all of Ψ's HC-s nodes expand in one batched Spark hop
-   loop whose searches *stop* at provider roots (the allow table's
+   loop whose searches *stop* at provider roots (the pruned adjacency's
    ``provider`` column). Then each stopped prefix concatenates its
    provider's paths, round by round along the ``provider`` each row
    carries, until no prefix is left closed. Finally every query's forward
@@ -35,15 +35,10 @@ from repro.core.enumeration import (
     enumerate_nodes,
     no_paths,
 )
-from repro.core.queries import Query
+from repro.core.queries import Query, check_unique_qids
 from repro.core.sharing import MAX_DEPTH, align_splits_per_cluster, build_shared_plan
 from repro.core.similarity import batch_similarity, pairwise_mu
-from repro.graph.ops import (
-    checkpoint_counted,
-    collect_adjacency,
-    reverse_adjacency,
-    reverse_edges,
-)
+from repro.graph.ops import checkpoint_counted, collect_adjacency, reverse_adjacency
 from repro.harness.timing import StageTimer
 
 
@@ -62,6 +57,7 @@ def run_batch(
     each chain link a closed prefix follows costs one sequential attach
     round. See ``repro.core.sharing`` for the rationale.
     """
+    check_unique_qids(queries)
     timer = StageTimer()
     stats = EnumStats()
     if not queries:
@@ -70,7 +66,6 @@ def run_batch(
             {"n_paths": 0, "n_nodes": 0, "n_shared_edges": 0, "n_clusters": 0,
              "n_levels": 0, "mu_q": 0.0},
         )
-    rev = reverse_edges(edges)
     k_max = max(q.k for q in queries)
 
     with timer.stage("build_index"):
@@ -99,11 +94,11 @@ def run_batch(
 
     with timer.stage("enumeration"):
         # looked up on its module, where perfbench's trace wraps it
-        allow = enumeration.build_allow(spark, plan, dist_from_s, dist_to_t)
+        padj = enumeration.build_allow(spark, plan, adj, radj, dist_from_s, dist_to_t)
         # Expansion never reads the cache R: a consumer's prefix closes at
         # the provider's root whatever R holds. So all of Ψ expands in one
         # hop loop, and the concatenation follows each closed row's provider.
-        expanded = enumerate_nodes(spark, edges, rev, plan.nodes, allow, stats=stats)
+        expanded = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
         paths = attach_cached(expanded, stats.closed_rows)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
 

@@ -4,13 +4,14 @@ This module is the dataflow core every algorithm shares:
 
 * :func:`enumerate_nodes` — the DataFrame version of procedure ``Search``
   (Alg 1 lines 9-13 / Alg 4 lines 17-24). Many HC-s path "nodes" (source,
-  budget, side) are expanded together, level-synchronously: one join with
-  the edge table per hop, one broadcast join with the allow table for
-  Lemma 3.1 pruning, and an ``array_contains`` filter for simplicity. The
-  allow join also yields the ``provider`` of a BatchEnum stop rule, which
-  closes a prefix at that provider's root vertex.
-* :func:`build_allow` — the allow table with its stop-rule column, built on
-  the driver from the collected distance index maps and the plan.
+  budget, side) are expanded together, level-synchronously: one broadcast
+  join per hop with a per-node adjacency, which carries the edges a node
+  may take, the Lemma 3.1 bound of each and the ``provider`` of a
+  BatchEnum stop rule (closing a prefix at that provider's root vertex),
+  and an ``array_contains`` filter for simplicity.
+* :func:`build_allow` — that adjacency pruned by the distance index, built
+  on the driver from the collected adjacency, the index maps and the plan;
+  :func:`unpruned_adjacency` is the same walk with no pruning and no stops.
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
   22-23): every closed prefix is extended by its provider's paths, round
   by round, until no prefix is left closed.
@@ -23,18 +24,19 @@ Paths are ``array<long>`` columns; ``len`` is the hop count (|path| − 1).
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.index import Adj, DistMap, bfs_index
 from repro.graph.ops import checkpoint_counted, local_frame
 
 if TYPE_CHECKING:
     from repro.core.sharing import ExecPlan
-
-DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class HcsNode:
 class StopRule:
     """While enumerating ``nid``, any arrival at ``stop_v`` is closed by
     concatenating the cached results of ``provider`` (Alg 4 line 22);
-    :func:`build_allow` carries it on the ``(nid, stop_v)`` row."""
+    :func:`build_allow` carries it on the node's rows into ``stop_v``."""
 
     nid: int
     stop_v: int
@@ -99,67 +101,95 @@ def no_paths(spark: SparkSession) -> DataFrame:
     return local_frame(spark, [], "qid long, path array<long>")
 
 
+_ADJ_SCHEMA = "nid long, src long, dst long, allow int, provider long"
+
+
+def _reach_edges(node: HcsNode, adj: Adj, radj: Adj) -> Iterator[tuple[int, int, int]]:
+    """``(u, v, dist(root, u))`` for every edge ``u → v`` of the node's side
+    graph (``adj`` for F, ``radj`` for B) with ``dist(root, u) < budget``."""
+    graph = adj if node.side == "F" else radj
+    for u, d in bfs_index(graph, [node.root], node.budget - 1)[node.root].items():
+        if d < node.budget:  # a budget-0 node keeps its root at 0 and takes no edge
+            for v in graph.get(u, ()):
+                yield u, v, d
+
+
+def pruned_adjacency(
+    plan: ExecPlan, adj: Adj, radj: Adj, dist_from_s: DistMap, dist_to_t: DistMap
+) -> list[tuple[int, int, int, int, int | None]]:
+    """The ``(nid, src, dst, allow, provider)`` rows of :func:`build_allow`,
+    built without Spark.
+
+    ``allow(nid, v)`` is the max of ``cap − dist(v, t)`` over the node's
+    prune pairs ``(nid, t, cap)``: Lemma 3.1, with the consumer-slack
+    telescoping of DESIGN.md §2, admits extending a prefix of ``len`` hops
+    by ``v`` iff ``len + 1 ≤ allow``. ``dist`` is read from ``dist_to_t``
+    (= ``dist_G(·, t)``) for forward nodes and from ``dist_from_s`` (=
+    ``dist_{G_r}(·, s)``) for backward ones. A node keeps the edges ``u →
+    v`` on its reach with ``dist(root, u) + 1 ≤ allow(nid, v)``: exact,
+    since a prefix that reaches ``u`` has at least ``dist(root, u)`` hops.
+    So a node without prune pairs keeps no edge and expands only its seed.
+    ``provider`` is set on a consumer's rows into a stop rule's ``stop_v``,
+    so an arrival the table admits there closes.
+    """
+    pairs: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for nid, t, cap in plan.prune_pairs:
+        pairs[nid].append((t, cap))
+    provider = {(s.nid, s.stop_v): s.provider for s in plan.stops}
+    rows = []
+    for node in plan.nodes:
+        far = dist_to_t if node.side == "F" else dist_from_s
+        caps = [(far.get(t, {}), cap) for t, cap in pairs[node.nid]]
+        allow: dict[int, int] = {}
+        for u, v, d in _reach_edges(node, adj, radj):
+            if v not in allow:
+                allow[v] = max((cap - to_t[v] for to_t, cap in caps if v in to_t), default=0)
+            if d + 1 <= allow[v]:
+                rows.append((node.nid, u, v, allow[v], provider.get((node.nid, v))))
+    return rows
+
+
 def build_allow(
     spark: SparkSession,
     plan: ExecPlan,
+    adj: Adj,
+    radj: Adj,
     dist_from_s: DistMap,
     dist_to_t: DistMap,
-) -> DataFrame | None:
-    """The Lemma 3.1 pruning table ``(nid, v, allow, provider)`` for a whole
-    plan, built on the driver from the collected index maps; ``None`` iff
-    the plan has no ``prune_pairs``.
+) -> DataFrame:
+    """The plan's per-node pruned adjacency (:func:`pruned_adjacency`) as a
+    local relation: the table :func:`enumerate_nodes` joins on every hop."""
+    rows = pruned_adjacency(plan, adj, radj, dist_from_s, dist_to_t)
+    return local_frame(spark, rows, _ADJ_SCHEMA)
 
-    A prune pair ``(nid, t, cap)`` admits extending a prefix of node-local
-    length ``len`` by vertex ``v`` iff ``len + 1 + dist(v, t) ≤ cap``
-    (Lemma 3.1 with the consumer-slack telescoping of DESIGN.md §2), i.e.
-    ``len + 1 ≤ cap − dist(v, t)``. ``allow(nid, v)`` is the max of
-    ``cap − dist`` over the node's pairs, with ``dist`` read from
-    ``dist_to_t`` (= ``dist_G(·, t)``) for forward nodes and from
-    ``dist_from_s`` (= ``dist_{G_r}(·, s)``) for backward ones. Only rows
-    with ``allow ≥ 1`` are kept: no other row admits an extension, and a
-    vertex with no row (unreachable from every paired target within its
-    cap) is pruned by the inner join. Rows of nodes absent from an
-    enumeration are inert (the join is keyed on nid).
 
-    ``provider`` carries the plan's stop rules: it is set on the
-    ``(consumer, stop_v)`` row of each rule and null elsewhere, so an
-    arrival the allow join admits at a stop vertex closes there. A stop on
-    a vertex without a row could never be reached, so it adds no row.
-    """
-    if not plan.prune_pairs:
-        return None
-    fwd_nids = {n.nid for n in plan.nodes if n.side == "F"}
-    allow: dict[tuple[int, int], int] = {}
-    for nid, t, cap in plan.prune_pairs:
-        dists = dist_to_t if nid in fwd_nids else dist_from_s
-        for v, d in dists.get(t, {}).items():
-            if cap - d > allow.get((nid, v), 0):
-                allow[(nid, v)] = cap - d
-    provider = {(s.nid, s.stop_v): s.provider for s in plan.stops}
-    return local_frame(
-        spark,
-        [(nid, v, a, provider.get((nid, v))) for (nid, v), a in allow.items()],
-        "nid long, v long, allow int, provider long",
-    )
+def unpruned_adjacency(
+    spark: SparkSession, nodes: list[HcsNode], adj: Adj, radj: Adj
+) -> DataFrame:
+    """Every edge on each node's reach with ``allow = budget`` and no
+    provider: the full HC-s path sets, without index pruning or stops (the
+    KSP baselines)."""
+    rows = [(n.nid, u, v, n.budget, None)
+            for n in nodes for u, v, _ in _reach_edges(n, adj, radj)]
+    return local_frame(spark, rows, _ADJ_SCHEMA)
 
 
 def enumerate_nodes(
     spark: SparkSession,
-    edges_fwd: DataFrame,
-    edges_bwd: DataFrame,
     nodes: list[HcsNode],
-    allow: DataFrame | None,
+    padj: DataFrame,
     *,
     stats: EnumStats | None = None,
 ) -> DataFrame:
     """Materialize the path sets of ``nodes`` (both sides batched together).
 
-    ``allow`` is :func:`build_allow`'s table: an extension of a node's
-    prefix to ``v`` is kept iff ``len + 1 ≤ allow(nid, v)``, so a node with
-    no rows expands only its seed. A kept extension whose row names a
-    ``provider`` is closed there: it is kept with that provider and is not
-    extended further (see :func:`attach_cached`). ``None`` expands without
-    pruning or stops (the KSP baselines).
+    ``padj`` is a per-node adjacency ``(nid, src, dst, allow, provider)``
+    (:func:`build_allow` or :func:`unpruned_adjacency`): a node's prefix
+    ending at ``src`` is extended by an edge of its own rows iff ``len <
+    budget``, ``len + 1 ≤ allow`` and ``dst`` is not on the prefix. A kept
+    extension whose row names a ``provider`` is closed there: it is kept
+    with that provider and is not extended further (see
+    :func:`attach_cached`).
 
     Returns ``(nid, path, last, len, budget, provider)`` including the
     zero-length seed path of every node; ``provider`` is null on every open
@@ -170,62 +200,41 @@ def enumerate_nodes(
         return empty_paths(spark)
     stats = stats if stats is not None else EnumStats()
 
-    # Both directions run in ONE level-synchronous loop: the edge tables are
-    # tagged with the side they serve and broadcast, and every frontier row
-    # carries its node's side — one Spark job per hop regardless of
-    # direction mix. The map-side (broadcast) join removes per-hop shuffles.
-    # Each hop's new rows are checkpointed once; that checkpoint's job also
-    # counts the rows and the closed ones (an observation), and the frontier
-    # and the running result union read it.
-    edges_b = F.broadcast(
-        edges_fwd.withColumn("eside", F.lit("F")).unionByName(
-            edges_bwd.withColumn("eside", F.lit("B"))
-        )
-    )
+    # Both directions run in ONE level-synchronous loop: the adjacency is
+    # keyed by node, so a hop is one broadcast join of the frontier with it,
+    # one Spark job per hop regardless of direction mix, with no per-hop
+    # shuffle. Each hop's new rows are checkpointed once; that checkpoint's
+    # job also counts the rows and the closed ones (an observation), and
+    # the frontier and the running result union read it.
+    padj = F.broadcast(padj.withColumnRenamed("src", "last"))
     node_tab = local_frame(
         spark,
-        [(n.nid, n.root, n.side, n.budget) for n in nodes],
-        "nid long, root long, side string, budget int",
+        [(n.nid, n.root, n.budget) for n in nodes],
+        "nid long, root long, budget int",
     )
-    if allow is not None:
-        allow = F.broadcast(allow.withColumnRenamed("v", "dst"))
-
-    cols = ["nid", "path", "last", "len", "budget", "provider"]
-    no_provider = F.lit(None).cast("long").alias("provider")
     frontier = node_tab.select(
         "nid",
         F.array("root").alias("path"),
         F.col("root").alias("last"),
         F.lit(0).alias("len"),
-        "side",
         "budget",
     )
-    results = frontier.select("nid", "path", "last", "len", "budget", no_provider)
+    results = frontier.select("*", F.lit(None).cast("long").alias("provider"))
     max_budget = max(n.budget for n in nodes)
     for _ in range(max_budget):
         live = frontier.where(F.col("len") < F.col("budget"))
-        cand = (
-            live.join(
-                edges_b,
-                (live["side"] == edges_b["eside"]) & (live["last"] == edges_b["src"]),
-            )
-            .drop("eside")
+        new = (
+            live.join(padj, ["nid", "last"])
+            .where(F.col("len") + 1 <= F.col("allow"))
             .where(~F.expr("array_contains(path, dst)"))
-        )
-        if allow is None:
-            cand = cand.select("*", no_provider)
-        else:
-            cand = cand.join(allow, ["nid", "dst"]).where(
-                F.col("len") + 1 <= F.col("allow")
+            .select(
+                "nid",
+                F.expr("array_append(path, dst)").alias("path"),
+                F.col("dst").alias("last"),
+                (F.col("len") + 1).cast("int").alias("len"),
+                "budget",
+                "provider",
             )
-        new = cand.select(
-            "nid",
-            F.expr("array_append(path, dst)").alias("path"),
-            F.col("dst").alias("last"),
-            (F.col("len") + 1).cast("int").alias("len"),
-            "side",
-            "budget",
-            "provider",
         )
         new, seen = checkpoint_counted(new, closed=F.count("provider"))
         stats.levels += 1
@@ -233,8 +242,8 @@ def enumerate_nodes(
             break
         stats.expanded_rows += seen["rows"]
         stats.closed_rows += seen["closed"]
-        results = results.unionByName(new.select(cols))
-        # the next hop's allow join brings its own provider column
+        results = results.unionByName(new)
+        # the next hop's join brings its own provider column
         frontier = new.where(F.col("provider").isNull()).drop("provider")
     return results
 

@@ -9,8 +9,8 @@ re-broadcast the whole edge table on every level to spare no driver memory.
 
 :func:`bidirectional_index` returns both halves as local frames, and
 :func:`collect_dists`, their only reader, turns each back into the
-``{root: {v: dist}}`` maps that Γ/μ, Alg 3 detection, the Lemma 3.1 allow
-table (``enumeration.build_allow``) and the ``⁺`` split counts
+``{root: {v: dist}}`` maps that Γ/μ, Alg 3 detection, the Lemma 3.1 pruned
+adjacency (``enumeration.build_allow``) and the ``⁺`` split counts
 (:func:`index_counts`) derive from.
 """
 from __future__ import annotations
@@ -19,8 +19,10 @@ from collections import Counter
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.enumeration import DistMap
 from repro.graph.ops import local_frame
+
+Adj = dict[int, list[int]]
+DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
 
 def bfs_index(adj: dict[int, list[int]], roots: list[int], k_max: int) -> DistMap:

@@ -17,7 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.basic_enum import RunResult, run_basic
 from repro.core.enumeration import EnumStats, no_paths
-from repro.core.queries import Query
+from repro.core.queries import Query, check_unique_qids
 
 
 def run_pathenum(
@@ -27,6 +27,7 @@ def run_pathenum(
 ) -> RunResult:
     """Answer every query with an independent PathEnum run: BasicEnum on a
     batch of one, whose index is bounded by that query's own ``k``."""
+    check_unique_qids(queries)
     runs = [run_basic(spark, edges, [q]) for q in queries]
     timings: Counter[str] = Counter()
     results = no_paths(spark)

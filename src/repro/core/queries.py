@@ -11,6 +11,7 @@ common computation).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 Adj = dict[int, list[int]]
@@ -24,6 +25,14 @@ class Query:
     s: int
     t: int
     k: int
+
+
+def check_unique_qids(queries: list[Query]) -> None:
+    """Raise ``ValueError`` naming every qid two queries share: rows are
+    keyed by qid, so a repeated one would mix two queries' answers."""
+    repeated = sorted(qid for qid, n in Counter(q.qid for q in queries).items() if n > 1)
+    if repeated:
+        raise ValueError(f"qid {', '.join(map(str, repeated))} repeated in the batch")
 
 
 def _random_walk(adj: Adj, s: int, max_hops: int, rng: random.Random) -> list[int]:

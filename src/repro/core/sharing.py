@@ -29,10 +29,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.core.enumeration import DistMap, HcsNode, QueryPlan, StopRule
+from repro.core.enumeration import HcsNode, QueryPlan, StopRule
+from repro.core.index import Adj, DistMap
 from repro.core.queries import Query
-
-Adj = dict[int, list[int]]
 
 # Longest provider chain Ψ may hold, counted in nodes (= topological levels).
 MAX_DEPTH = 4

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+from repro.core.index import DistMap
 from repro.core.queries import Query
-
-DistMap = dict[int, dict[int, int]]  # root -> vertex -> dist
 
 
 def gamma_sets(

@@ -35,13 +35,6 @@ def checkpoint_counted(df: DataFrame, **aggs: Column) -> tuple[DataFrame, dict]:
     return df.observe(obs, *exprs).localCheckpoint(eager=True), obs.get
 
 
-def reverse_edges(edges: DataFrame) -> DataFrame:
-    """The reverse graph ``G_r``: every edge (u, v) becomes (v, u)."""
-    return edges.select(
-        F.col("dst").alias("src"), F.col("src").alias("dst")
-    )
-
-
 def sample_vertices(edges: DataFrame, pct: int) -> DataFrame:
     """Vertex-induced subgraph on a deterministic ``pct``% vertex sample.
 

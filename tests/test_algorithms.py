@@ -244,6 +244,14 @@ class TestDegenerateBatches:
             assert rr.extras["n_paths"] == len(want), absent
 
     @RUNNERS
+    def test_repeated_qid_rejected(self, spark, paper_edges, run):
+        # Rows are keyed by qid: sharing one would mix the two queries'
+        # halves into paths from v9 to v11 that answer neither.
+        qs = [Query(0, 0, 11, 5), Query(0, 9, 14, 4)]
+        with pytest.raises(ValueError, match="qid 0"):
+            run(spark, paper_edges, qs)
+
+    @RUNNERS
     def test_source_is_target(self, spark, paper_edges, paper_adj, run):
         # A simple path of ≥ 1 hop never returns to s, and no query has a
         # zero-hop answer: s == t yields nothing, alone or in a batch.

@@ -1,14 +1,12 @@
-"""Graph ops: reversal, sampling, adjacency collection."""
+"""Graph ops: sampling, adjacency collection."""
 from __future__ import annotations
 
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.generators import edges_from_list
 from repro.graph.ops import (
     collect_adjacency,
     reverse_adjacency,
-    reverse_edges,
     sample_vertices,
 )
 
@@ -17,24 +15,6 @@ def endpoint_set(edges):
     """Distinct vertices incident to at least one edge."""
     rows = edges.collect()
     return {r["src"] for r in rows} | {r["dst"] for r in rows}
-
-
-class TestReverseEdges:
-    def test_reverses_pairs(self, spark):
-        df = edges_from_list(spark, [(1, 2), (3, 4)])
-        got = {(r["src"], r["dst"]) for r in reverse_edges(df).collect()}
-        assert got == {(2, 1), (4, 3)}
-
-    def test_double_reverse_identity(self, paper_edges):
-        orig = {(r["src"], r["dst"]) for r in paper_edges.collect()}
-        back = {
-            (r["src"], r["dst"])
-            for r in reverse_edges(reverse_edges(paper_edges)).collect()
-        }
-        assert orig == back
-
-    def test_schema_preserved(self, paper_edges):
-        assert reverse_edges(paper_edges).columns == ["src", "dst"]
 
 
 class TestSampleVertices:

@@ -2,16 +2,18 @@
 
 These run entirely on the pure-Python reference engine — which the Spark
 pipelines are cross-checked against elsewhere — and on the driver-side index
-BFS, so hundreds of random cases stay cheap. Invariants follow the paper's
-definitions (simplicity, hop bound, HC-s prefix closure, Lemma 4.1
-domination containment).
+BFS and enumeration tables, so hundreds of random cases stay cheap.
+Invariants follow the paper's definitions (simplicity, hop bound, HC-s
+prefix closure, Lemma 4.1 domination containment, Lemma 3.1 pruning).
 """
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ref_engine as ref
+from repro.core.enumeration import HcsNode, StopRule, pruned_adjacency
 from repro.core.index import bfs_index
+from repro.core.sharing import ExecPlan
 from repro.core.similarity import mu_from_coeffs
 
 
@@ -59,6 +61,84 @@ def test_index_bfs_equals_ref(adj, roots, k_max):
     for g in (adj, radj_of(adj)):
         assert bfs_index(g, roots, k_max) == {
             r: ref.bfs_dists(g, r, k_max) for r in set(roots)}
+
+
+def hop_loop(nodes, step):
+    """The ``(nid, path, provider)`` rows ``enumerate_nodes`` yields when
+    ``step(node, u)`` gives the ``(v, allow, provider)`` a prefix ending at
+    ``u`` may extend by: kept iff ``len + 1 ≤ allow`` and ``v`` is new, and
+    closed (not extended) where ``provider`` is set."""
+    out = set()
+    for n in nodes:
+        out.add((n.nid, (n.root,), None))
+        frontier = [(n.root,)]
+        for length in range(n.budget):
+            nxt = []
+            for path in frontier:
+                for v, allow, provider in step(n, path[-1]):
+                    if length + 1 <= allow and v not in path:
+                        out.add((n.nid, path + (v,), provider))
+                        if provider is None:
+                            nxt.append(path + (v,))
+            frontier = nxt
+    return out
+
+
+def old_allow_rule(plan, dist_from_s, dist_to_t):
+    """The reference: the ``(nid, v) → allow`` table with its stop-rule
+    providers, read over the full adjacency, that the per-node pruned
+    adjacency replaced."""
+    fwd_nids = {n.nid for n in plan.nodes if n.side == "F"}
+    allow: dict[tuple[int, int], int] = {}
+    for nid, t, cap in plan.prune_pairs:
+        dists = dist_to_t if nid in fwd_nids else dist_from_s
+        for v, d in dists.get(t, {}).items():
+            if cap - d > allow.get((nid, v), 0):
+                allow[(nid, v)] = cap - d
+    provider = {(s.nid, s.stop_v): s.provider for s in plan.stops}
+    return allow, provider
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.data())
+def test_pruned_adjacency_is_exact(adj, data):
+    """Expanding over the per-node pruned adjacency yields the same rows,
+    providers included, as the old allow rule over the whole graph: random
+    nodes on both sides, prune pairs (targets may be absent from the
+    graph) and stop rules."""
+    radj = radj_of(adj)
+    vertex = st.integers(0, 8)
+    nodes = [
+        HcsNode(i, root, budget, side)
+        for i, (root, budget, side) in enumerate(data.draw(st.lists(
+            st.tuples(vertex, st.integers(0, 4), st.sampled_from("FB")),
+            min_size=1, max_size=5,
+        )))
+    ]
+    nid = st.integers(0, len(nodes) - 1)
+    pairs = data.draw(st.lists(st.tuples(nid, vertex, st.integers(0, 6)), max_size=8))
+    stops = {(c, v): p for c, v, p in
+             data.draw(st.lists(st.tuples(nid, vertex, nid), max_size=4))}
+    plan = ExecPlan(nodes=nodes, prune_pairs=pairs,
+                    stops=[StopRule(c, v, p) for (c, v), p in stops.items()])
+    k_max = data.draw(st.integers(0, 5))
+    dist_from_s = bfs_index(adj, list(range(9)), k_max)
+    dist_to_t = bfs_index(radj, list(range(9)), k_max)
+
+    rows = pruned_adjacency(plan, adj, radj, dist_from_s, dist_to_t)
+    assert len({r[:3] for r in rows}) == len(rows)
+    padj: dict[tuple[int, int], list] = {}
+    for nid_, src, dst, allow, provider in rows:
+        padj.setdefault((nid_, src), []).append((dst, allow, provider))
+    allow, provider = old_allow_rule(plan, dist_from_s, dist_to_t)
+
+    def old_step(n, u):
+        graph = adj if n.side == "F" else radj
+        return [(v, allow.get((n.nid, v), 0), provider.get((n.nid, v)))
+                for v in graph.get(u, ())]
+
+    assert hop_loop(nodes, lambda n, u: padj.get((n.nid, u), ())) == hop_loop(
+        nodes, old_step)
 
 
 @settings(max_examples=100, deadline=None)
