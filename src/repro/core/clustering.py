@@ -3,11 +3,16 @@ batch under group-average linkage δ, stopping at threshold γ.
 
 The paper runs this on the driver too ("the number of queries in Q is medium
 in size"); its input, the μ matrix, is computed in ``repro.core.similarity``
-from the index rows already collected to the driver.
+from the index rows already collected to the driver. The clustering keeps a
+dense matrix of μ sums between clusters, so a merge is one vectorized scan
+and one row addition (the Lance–Williams update of average linkage, on sums)
+instead of recomputing δ (Def 4.6) over every cluster pair.
 """
 from __future__ import annotations
 
-from repro.core.similarity import group_similarity
+import itertools
+
+import numpy as np
 
 
 def cluster_queries(
@@ -17,23 +22,40 @@ def cluster_queries(
 ) -> list[list[int]]:
     """Greedily merge the two most-similar clusters while δ_max > γ.
 
-    Follows Alg 2 exactly: start from singletons; each round find the pair
-    of clusters with maximum δ (Def 4.6) and merge it if δ > γ; stop
-    otherwise. Ties break on the smallest (i, j) scan order, like the
-    pseudo-code's ``>`` comparison. Returns clusters as sorted qid lists,
-    ordered by smallest member.
+    Follows Alg 2: start from singletons in qid order; each round find the
+    pair of clusters with maximum δ (Def 4.6) and merge it if δ > γ (and
+    δ > 0); stop otherwise. The merged cluster replaces the pair at the end
+    of the cluster list. Ties break on the first pair in ``(i, j)`` scan
+    order of that list, like the pseudo-code's ``>`` comparison.
+
+    ``S[i, j]`` is the sum of μ over the member pairs of clusters ``i`` and
+    ``j``, so δ is ``S[i, j] / (|i|·|j|)`` and a merge adds two rows of
+    ``S``. These sums add μ in another order than Def 4.6's double loop,
+    so two δ that are equal in exact arithmetic may differ by an ulp and
+    break a tie the other way.
+
+    Returns clusters as sorted qid lists, ordered by smallest member.
     """
-    clusters: list[list[int]] = [[q] for q in sorted(qids)]
+    order = sorted(qids)
+    n = len(order)
+    sums = np.zeros((n, n))
+    sums[np.triu_indices(n, 1)] = [mu[p] for p in itertools.combinations(order, 2)]
+    sums += sums.T
+    sizes = np.ones(n, dtype=np.int64)
+    clusters: list[list[int]] = [[q] for q in order]
     while len(clusters) > 1:
-        best, bi, bj = 0.0, -1, -1
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = group_similarity(mu, clusters[i], clusters[j])
-                if d > best:
-                    best, bi, bj = d, i, j
-        if best <= gamma or bi < 0:
+        # the strict upper triangle in cluster-list order; argmax takes the
+        # first maximum in row-major order, the double loop's tie-break
+        delta = np.triu(sums / np.outer(sizes, sizes), 1)
+        flat = int(delta.argmax())
+        best = delta.flat[flat]
+        if best <= gamma or best <= 0.0:
             break
-        merged = sorted(clusters[bi] + clusters[bj])
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (bi, bj)]
-        clusters.append(merged)
-    return sorted((sorted(c) for c in clusters), key=lambda c: c[0])
+        i, j = divmod(flat, len(clusters))
+        keep = np.r_[0:i, i + 1:j, j + 1:len(clusters)]
+        row = (sums[i] + sums[j])[keep]
+        sums = np.block([[sums[np.ix_(keep, keep)], row[:, None]],
+                         [row[None, :], np.zeros((1, 1))]])
+        sizes = np.append(sizes[keep], sizes[i] + sizes[j])
+        clusters = [clusters[k] for k in keep] + [sorted(clusters[i] + clusters[j])]
+    return sorted(clusters, key=lambda c: c[0])

@@ -14,7 +14,8 @@ This module is the dataflow core every algorithm shares:
   :func:`unpruned_adjacency` is the same walk with no pruning and no stops.
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
   22-23): every closed prefix is extended by its provider's paths, round
-  by round, until no prefix is left closed.
+  by round (one broadcast join of the closed prefixes each), until no
+  prefix is left closed.
 * :func:`assemble` — the ⊕ operator (Def 3.1): one join of forward
   half-paths with backward half-paths at the meeting vertex, with the
   duplicate-free split and ``arrays_overlap`` simplicity filter described
@@ -254,13 +255,16 @@ def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
 
     ``expanded`` is :func:`enumerate_nodes` output over all of Ψ, whose
     ``closed_rows`` rows carry a provider; its open rows are final. Each
-    round joins the still-closed rows with ``expanded`` on ``provider =
-    nid``, keeping cached paths of ``clen ≤ budget − len`` hops (the
-    consumer's budget, carried on the row) that do not revisit the prefix,
-    and checkpoints the result once. A result whose cached path was open is
-    final; one whose cached path was itself closed ends at that path's
-    provider's root and joins again in the next round. Ψ is a DAG, so the
-    rounds end after the longest provider chain a closed row follows.
+    round broadcasts the still-closed rows and joins them with ``expanded``
+    on ``provider = nid``, keeping cached paths of ``clen ≤ budget − len``
+    hops (the consumer's budget, carried on the row) that do not revisit the
+    prefix, and checkpoints the result once: 2 Spark jobs per round (the
+    broadcast and the checkpoint). The closed side is the small one: it
+    holds only the prefixes that closed at a stop vertex. A result whose
+    cached path was open is final; one whose cached path was itself closed
+    ends at that path's provider's root and joins again in the next round.
+    Ψ is a DAG, so the rounds end after the longest provider chain a closed
+    row follows.
 
     Each path splits uniquely at the first stop vertex it reaches, so no
     path is produced twice.
@@ -277,7 +281,7 @@ def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
     )
     while closed_rows:
         attached = (
-            closed.join(cache, "provider")
+            F.broadcast(closed).join(cache, "provider")
             .where(F.col("clen") <= F.col("budget") - F.col("len"))
             .withColumn("ctail", F.expr("slice(cpath, 2, clen)"))
             .where(~F.expr("arrays_overlap(path, ctail)"))

@@ -19,7 +19,11 @@ Adj = dict[int, list[int]]
 
 @dataclass(frozen=True)
 class Query:
-    """One HC-s-t path query ``q(s, t, k)`` with a batch-unique id."""
+    """One HC-s-t path query ``q(s, t, k)`` with a batch-unique id.
+
+    A path has at least one hop, so a query with ``k ≤ 0`` has no answer:
+    every enumerator returns no path for it and answers the rest of its
+    batch as usual."""
 
     qid: int
     s: int

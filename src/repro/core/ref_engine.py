@@ -37,7 +37,7 @@ def enum_st_paths(adj: Adj, s: int, t: int, k: int) -> set[Path]:
     """All simple paths from ``s`` to ``t`` with at most ``k`` hops.
 
     Ground truth by exhaustive DFS — no index, no pruning beyond the hop
-    budget and simplicity.
+    budget and simplicity. A query with ``k ≤ 0`` has no path.
     """
     out: set[Path] = set()
 
@@ -47,7 +47,7 @@ def enum_st_paths(adj: Adj, s: int, t: int, k: int) -> set[Path]:
             out.add(tuple(path))
             # t must be the endpoint of a simple path; do not extend past it.
             return
-        if len(path) - 1 == k:
+        if len(path) - 1 >= k:
             return
         for v in adj.get(u, ()):
             if v not in path:

@@ -75,7 +75,10 @@ def batch_similarity(mu: dict[tuple[int, int], float], n_queries: int) -> float:
 def group_similarity(
     mu: dict[tuple[int, int], float], ca: list[int], cb: list[int]
 ) -> float:
-    """δ(C_A, C_B) (Def 4.6): average pairwise μ across the two groups."""
+    """δ(C_A, C_B) (Def 4.6): average pairwise μ across the two groups.
+
+    The definition as written; ``repro.core.clustering`` keeps δ as sums in
+    a matrix instead, and its tests check it against this."""
     tot = 0.0
     for a in ca:
         for b in cb:

@@ -14,9 +14,9 @@ from repro.core.queries import Query
 def st_paths_sql(queries: list[Query]) -> str:
     """All simple ≤k-hop s-t paths per query, as ``(qid, path_s)`` rows.
 
-    One recursive CTE per query over the registered ``edges`` table; paths
-    are rendered ``'v0-v1-…'`` to match
-    ``repro.core.enumeration.paths_as_strings``.
+    One recursive CTE per query over the registered ``edges`` table (a
+    query with ``k ≤ 0`` seeds no walk); paths are rendered ``'v0-v1-…'``
+    to match ``repro.core.enumeration.paths_as_strings``.
     """
     ctes, selects = [], []
     for q in queries:
@@ -24,7 +24,7 @@ def st_paths_sql(queries: list[Query]) -> str:
         ctes.append(
             f"""{w} AS (
   SELECT dst AS last, [src, dst] AS path, 1 AS len
-  FROM edges WHERE src = {q.s}
+  FROM edges WHERE src = {q.s} AND {q.k} >= 1
   UNION ALL
   SELECT e.dst, list_append(w.path, e.dst), w.len + 1
   FROM {w} w JOIN edges e ON w.last = e.src

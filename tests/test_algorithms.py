@@ -244,6 +244,21 @@ class TestDegenerateBatches:
             assert rr.extras["n_paths"] == len(want), absent
 
     @RUNNERS
+    def test_nonpositive_k(self, spark, paper_edges, paper_adj, paper_pdf, run):
+        # A path has at least one hop, so k ≤ 0 admits none, even where s
+        # has a direct edge to t (0 → 1); the query beside it stays exact.
+        want = ref.enum_st_paths(paper_adj, 0, 11, 5)
+        for k in (0, -1):
+            assert ref.enum_st_paths(paper_adj, 0, 1, k) == set()
+            qs = [Query(0, 0, 1, k), Query(1, 0, 11, 5)]
+            rr = run(spark, paper_edges, qs)
+            assert by_query(rr, qs) == {0: set(), 1: want}, k
+            assert rr.extras["n_paths"] == len(want), k
+            assert_equivalent(
+                paths_as_strings(rr.results), st_paths_sql(qs), edges=paper_pdf
+            )
+
+    @RUNNERS
     def test_repeated_qid_rejected(self, spark, paper_edges, run):
         # Rows are keyed by qid: sharing one would mix the two queries'
         # halves into paths from v9 to v11 that answer neither.

@@ -4,8 +4,62 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.clustering import cluster_queries
+from repro.core.similarity import group_similarity
+
+
+def loop_cluster_queries(
+    mu: dict[tuple[int, int], float], qids: list[int], gamma: float
+) -> list[list[int]]:
+    """Alg 2 as a double loop that recomputes δ (Def 4.6) for every cluster
+    pair on every merge: the reference ``cluster_queries`` must match."""
+    clusters: list[list[int]] = [[q] for q in sorted(qids)]
+    while len(clusters) > 1:
+        best, bi, bj = 0.0, -1, -1
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                d = group_similarity(mu, clusters[i], clusters[j])
+                if d > best:
+                    best, bi, bj = d, i, j
+        if best <= gamma or bi < 0:
+            break
+        merged = sorted(clusters[bi] + clusters[bj])
+        clusters = [c for idx, c in enumerate(clusters) if idx not in (bi, bj)]
+        clusters.append(merged)
+    return sorted((sorted(c) for c in clusters), key=lambda c: c[0])
+
+
+# Multiples of 1/8: every δ sum is exact in binary floating point, so the
+# two summation orders agree bit for bit and every tie is a real tie.
+DYADIC = [i / 8 for i in range(9)]
+
+
+@st.composite
+def mu_batches(draw):
+    qids = draw(st.lists(st.integers(0, 99), unique=True, max_size=40))
+    pairs = list(itertools.combinations(sorted(qids), 2))
+    if draw(st.booleans()):
+        vals = [draw(st.sampled_from(DYADIC))] * len(pairs)
+    else:
+        vals = draw(st.lists(st.sampled_from(DYADIC), min_size=len(pairs),
+                             max_size=len(pairs)))
+    return dict(zip(pairs, vals)), qids
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu_batches(), st.sampled_from([0.0, 0.5, 1.0]))
+@example(({(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.5}, [2, 0, 1]), 0.5)
+@example(({(a, b): 1.0 for a, b in itertools.combinations(range(40), 2)},
+          list(range(40))), 0.5)
+@example(({(a, b): 0.625 for a, b in itertools.combinations(range(12), 2)},
+          list(range(12))), 0.0)
+def test_matches_double_loop(batch, gamma):
+    """Identical clusters to the double loop: all-equal μ (every pair ties),
+    μ exactly at γ (never merged), |Q| from 0 to 40, γ ∈ {0, 0.5, 1}."""
+    mu, qids = batch
+    assert cluster_queries(mu, qids, gamma) == loop_cluster_queries(mu, qids, gamma)
 
 
 def full_mu(vals: dict[tuple[int, int], float], qids) -> dict:

@@ -246,9 +246,10 @@ class TestBuildAllow:
         }
 
 
-def expand_then_attach(spark, adj, *chain):
+def expand_chain(spark, adj, *chain):
     """Expand the ``chain`` of nodes in one hop loop, each node stopping at
-    the root of the node before it, then attach the cached paths.
+    the root of the node before it; returns the expanded rows and the
+    number of them closed at a stop.
 
     The stops travel in a table that prunes nothing: each node has one
     prune pair to a target at distance 0 from every vertex, so ``allow =
@@ -262,7 +263,12 @@ def expand_then_attach(spark, adj, *chain):
     )
     padj = build_allow(spark, plan, adj, reverse_adjacency(adj), everywhere, everywhere)
     expanded = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
-    return attach_cached(expanded, stats.closed_rows)
+    return expanded, stats.closed_rows
+
+
+def expand_then_attach(spark, adj, *chain):
+    """:func:`expand_chain`, then attach the cached paths."""
+    return attach_cached(*expand_chain(spark, adj, *chain))
 
 
 class TestStopsAndCache:
@@ -277,11 +283,17 @@ class TestStopsAndCache:
 
     def test_two_link_chain(self, spark, paper_adj):
         # q_{v0,4,G} stops at v1 and reuses q_{v1,3,G}, which stops at v7
-        # and reuses q_{v7,2,G}: (v0,v1,v7,v10,v12) needs both rounds.
-        got = expand_then_attach(
+        # and reuses q_{v7,2,G}: (v0,v1,v7,v10,v12) needs both rounds. Each
+        # round broadcasts the closed rows and checkpoints the result: 2
+        # jobs a round, where a shuffle join of the closed rows took 3.
+        expanded, closed_rows = expand_chain(
             spark, paper_adj,
             HcsNode(2, 7, 2, "F"), HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 4, "F"),
         )
+        jobs = spark.sparkContext._jsc.sc().dagScheduler().nextJobId
+        before = jobs()
+        got = attach_cached(expanded, closed_rows)
+        assert jobs() - before == 2 * 2
         assert (0, 1, 7, 10, 12) in node_paths(got, 0)
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
         assert node_paths(got, 1) == ref.enum_hcs_paths(paper_adj, 1, 3)

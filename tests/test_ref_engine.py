@@ -78,6 +78,14 @@ class TestEnumStPaths:
     def test_s_equals_t_empty(self):
         assert ref.enum_st_paths(CYCLE, 0, 0, 5) == set()
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_nonpositive_k_empty(self, k):
+        # a path has at least one hop: k ≤ 0 bounds every path away
+        adj = {0: [1, 2], 1: [2, 3], 2: [3]}
+        assert len(ref.enum_st_paths(adj, 0, 3, 3)) == 3
+        assert ref.enum_st_paths(adj, 0, 3, k) == set()
+        assert ref.enum_st_paths(adj, 0, 1, k) == set()
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_monotone_in_k(self, k):
         assert ref.enum_st_paths(GRID, 0, 6, k) <= ref.enum_st_paths(GRID, 0, 6, k + 1)
