@@ -13,9 +13,9 @@ Pipeline (Alg 4 lines 1-16):
 4. **Enumeration** — all of Ψ's HC-s nodes expand in one batched Spark hop
    loop whose searches *stop* at provider roots (the pruned adjacency's
    ``provider`` column). Then each stopped prefix concatenates its
-   provider's paths, round by round along the ``provider`` each row
-   carries, until no prefix is left closed. Finally every query's forward
-   and backward HC-s results are ⊕-concatenated.
+   provider's paths in one attach round (Ψ is one link deep, so a
+   provider's paths are all open). Finally every query's forward and
+   backward HC-s results are ⊕-concatenated.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.
@@ -36,7 +36,7 @@ from repro.core.enumeration import (
     no_paths,
 )
 from repro.core.queries import Query, check_unique_qids
-from repro.core.sharing import MAX_DEPTH, align_splits_per_cluster, build_shared_plan
+from repro.core.sharing import align_splits_per_cluster, build_shared_plan
 from repro.core.similarity import batch_similarity, pairwise_mu
 from repro.graph.ops import checkpoint_counted, collect_adjacency, reverse_adjacency
 from repro.harness.timing import StageTimer
@@ -49,14 +49,8 @@ def run_batch(
     *,
     gamma: float = 0.5,
     optimized: bool = False,
-    max_depth: int = MAX_DEPTH,
 ) -> RunResult:
-    """Run Algorithm 4 over the batch; returns all HC-s-t paths per query.
-
-    ``max_depth`` caps Ψ's provider-chain length (= topological levels);
-    each chain link a closed prefix follows costs one sequential attach
-    round. See ``repro.core.sharing`` for the rationale.
-    """
+    """Run Algorithm 4 over the batch; returns all HC-s-t paths per query."""
     check_unique_qids(queries)
     timer = StageTimer()
     stats = EnumStats()
@@ -88,8 +82,7 @@ def run_batch(
         if optimized:
             splits = align_splits_per_cluster(queries, clusters, splits)
         plan = build_shared_plan(
-            queries, clusters, splits, adj, radj, dist_from_s, dist_to_t,
-            max_depth=max_depth,
+            queries, clusters, splits, adj, radj, dist_from_s, dist_to_t
         )
 
     with timer.stage("enumeration"):

@@ -13,9 +13,8 @@ This module is the dataflow core every algorithm shares:
   on the driver from the collected adjacency, the index maps and the plan;
   :func:`unpruned_adjacency` is the same walk with no pruning and no stops.
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
-  22-23): every closed prefix is extended by its provider's paths, round
-  by round (one broadcast join of the closed prefixes each), until no
-  prefix is left closed.
+  22-23): every closed prefix is extended by its provider's paths in one
+  broadcast join of the closed prefixes (Ψ is one link deep).
 * :func:`assemble` — the ⊕ operator (Def 3.1): one join of forward
   half-paths with backward half-paths at the meeting vertex, with the
   duplicate-free split and ``arrays_overlap`` simplicity filter described
@@ -254,53 +253,43 @@ def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
     paths (Alg 4 lines 22-23); returns ``(nid, path, last, len)``.
 
     ``expanded`` is :func:`enumerate_nodes` output over all of Ψ, whose
-    ``closed_rows`` rows carry a provider; its open rows are final. Each
-    round broadcasts the still-closed rows and joins them with ``expanded``
-    on ``provider = nid``, keeping cached paths of ``clen ≤ budget − len``
-    hops (the consumer's budget, carried on the row) that do not revisit the
-    prefix, and checkpoints the result once: 2 Spark jobs per round (the
-    broadcast and the checkpoint). The closed side is the small one: it
-    holds only the prefixes that closed at a stop vertex. A result whose
-    cached path was open is final; one whose cached path was itself closed
-    ends at that path's provider's root and joins again in the next round.
-    Ψ is a DAG, so the rounds end after the longest provider chain a closed
-    row follows.
+    ``closed_rows`` rows carry a provider; its open rows are final. Ψ is one
+    link deep, so a provider never stops and all its rows are open: one
+    round finishes every closed prefix. The round broadcasts the closed rows
+    and joins them with ``expanded`` on ``provider = nid``, keeping cached
+    paths of ``clen ≤ budget − len`` hops (the consumer's budget, carried on
+    the row) that do not revisit the prefix, and checkpoints the result
+    once, because ⊕ reads the union twice: 2 Spark jobs (the broadcast and
+    the checkpoint), none when no row is closed. The closed side is the
+    small one: it holds only the prefixes that closed at a stop vertex.
 
     Each path splits uniquely at the first stop vertex it reaches, so no
     path is produced twice.
     """
     cols = ["nid", "path", "last", "len"]
     paths = expanded.where(F.col("provider").isNull()).select(cols)
-    closed = expanded.where(F.col("provider").isNotNull())
+    if not closed_rows:
+        return paths
     cache = expanded.select(
         F.col("nid").alias("provider"),
         F.col("path").alias("cpath"),
         F.col("len").alias("clen"),
         F.col("last").alias("clast"),
-        F.col("provider").alias("cprovider"),
     )
-    while closed_rows:
-        attached = (
-            F.broadcast(closed).join(cache, "provider")
-            .where(F.col("clen") <= F.col("budget") - F.col("len"))
-            .withColumn("ctail", F.expr("slice(cpath, 2, clen)"))
-            .where(~F.expr("arrays_overlap(path, ctail)"))
-            .select(
-                "nid",
-                F.expr("concat(path, ctail)").alias("path"),
-                F.col("clast").alias("last"),
-                (F.col("len") + F.col("clen")).cast("int").alias("len"),
-                "budget",
-                F.col("cprovider").alias("provider"),
-            )
+    attached = (
+        F.broadcast(expanded.where(F.col("provider").isNotNull()))
+        .join(cache, "provider")
+        .where(F.col("clen") <= F.col("budget") - F.col("len"))
+        .withColumn("ctail", F.expr("slice(cpath, 2, clen)"))
+        .where(~F.expr("arrays_overlap(path, ctail)"))
+        .select(
+            "nid",
+            F.expr("concat(path, ctail)").alias("path"),
+            F.col("clast").alias("last"),
+            (F.col("len") + F.col("clen")).cast("int").alias("len"),
         )
-        attached, seen = checkpoint_counted(attached, closed=F.count("provider"))
-        paths = paths.unionByName(
-            attached.where(F.col("provider").isNull()).select(cols)
-        )
-        closed = attached.where(F.col("provider").isNotNull())
-        closed_rows = seen["closed"]
-    return paths
+    )
+    return paths.unionByName(attached.localCheckpoint(eager=True))
 
 
 def assemble(

@@ -5,24 +5,24 @@ graph from every initial HC-s query's root. Arrivals at a vertex are grouped
 by remaining hop budget (Alg 3's ``S_Q`` at iteration ``k``):
 
 * if the vertex already roots an HC-s node ``P`` (``M_Q[v]``), every arrival
-  links to it — edge ``P → consumer`` in Ψ, consumer's enumeration will stop
-  at ``v`` and reuse ``R[P]`` (Alg 3 lines 20-22, Alg 4 lines 22-23); ``P``
-  always has budget ≥ the arrival's remaining budget because levels run in
-  decreasing budget order, so reuse only needs the length filter the paper
-  describes for ``q_{v12,1} ⊂ q_{v12,2}``;
-* if ≥ 2 arrivals share the vertex and budget, a new *dominating* HC-s node
-  is created there (lines 16-19) and continues the wave;
+  that may link (see below) links to it — edge ``P → consumer`` in Ψ,
+  consumer's enumeration will stop at ``v`` and reuse ``R[P]`` (Alg 3 lines
+  20-22, Alg 4 lines 22-23); ``P`` always has budget ≥ the arrival's
+  remaining budget because levels run in decreasing budget order, so reuse
+  only needs the length filter the paper describes for
+  ``q_{v12,1} ⊂ q_{v12,2}``;
+* if ≥ 2 arrivals without a consumer share the vertex and budget, a new
+  *dominating* HC-s node is created there (lines 16-19) and continues the wave;
 * a lone arrival just keeps extending (lines 14-15 / 23-24).
 
-Ψ edges point provider → consumer. A link that would close a cycle is
-skipped (the consumer keeps searching through the vertex instead), keeping
-Ψ a DAG as Theorem 4.1 requires. Each detector keeps every node's longest
-provider chain (``level``) and consumer chain (``height``) as it links, so
-the depth cap reads two numbers and Ψ's topological levels are the nodes
-grouped by ``level`` (a Kahn level is exactly the longest chain from a root).
-Walked in reverse, the same order propagates consumer target/cap pairs
-provider-ward, so every node's enumeration is pruned exactly as hard as its
-*most demanding* transitive consumer allows (DESIGN.md §2).
+Ψ edges point provider → consumer, and Ψ is one link deep: a node that
+consumes never provides, and a node that provides never consumes. An arrival
+whose link would break that (or link a node to itself) keeps searching
+through the vertex instead. So Ψ is a DAG, as Theorem 4.1 requires, its
+topological levels are the non-consumers and the consumers, and a closed
+prefix is finished by one attach of its provider's open paths. A consumer's
+prune pairs are its direct ``(far, k)`` pairs, final before the wave, so the
+pairs a provider inherits when it links are exact (DESIGN.md §2).
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ from dataclasses import dataclass, field
 from repro.core.enumeration import HcsNode, QueryPlan, StopRule
 from repro.core.index import Adj, DistMap
 from repro.core.queries import Query
-
-# Longest provider chain Ψ may hold, counted in nodes (= topological levels).
-MAX_DEPTH = 4
-
 
 @dataclass(frozen=True)
 class PsiEdge:
@@ -150,21 +146,17 @@ class _Detector:
         adj: Adj,
         dist_far: DistMap,
         nid_start: int,
-        max_depth: int = MAX_DEPTH,
     ) -> None:
         self.side = side
         self.adj = adj
         self.dist_far = dist_far
         self.next_nid = nid_start
-        self.max_depth = max_depth
-        self.providers: dict[int, set[int]] = defaultdict(set)  # consumer -> providers
+        self.providers: set[int] = set()  # nids with a consumer
+        self.consumers: set[int] = set()  # nids with a provider
         self.nodes: dict[int, HcsNode] = {}
         self.edges: list[PsiEdge] = []
         self.m_q: dict[int, int] = {}  # root vertex -> nid
         self.pairs: dict[int, dict[int, int]] = defaultdict(dict)  # nid -> {t: cap}
-        self.consumers: dict[int, set[int]] = defaultdict(set)  # provider -> consumers
-        self.level: dict[int, int] = {}  # nid -> edges on its longest provider chain
-        self.height: dict[int, int] = {}  # nid -> edges on its longest consumer chain
         self.pushed: set[tuple[int, int]] = set()  # (nid, vertex) wave dedup
         # remaining -> vertex -> arrival nids, filled by _push_from
         self.pend: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
@@ -173,7 +165,6 @@ class _Detector:
         n = HcsNode(self.next_nid, root, budget, self.side)
         self.next_nid += 1
         self.nodes[n.nid] = n
-        self.level[n.nid] = self.height[n.nid] = 0
         return n
 
     def _add_pair(self, nid: int, t: int, cap: int) -> None:
@@ -181,55 +172,21 @@ class _Detector:
         if cap > cur.get(t, -(10**9)):
             cur[t] = cap
 
-    def _reaches(self, src: int, dst: int) -> bool:
-        """Whether ``dst`` is ``src`` or lies below it along
-        provider→consumer edges."""
-        seen: set[int] = set()
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                return True
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self.consumers.get(u, ()))
-        return False
-
-    @staticmethod
-    def _raise(depth: dict[int, int], nid: int, value: int, nxt: dict[int, set[int]]) -> None:
-        """Raise ``depth[nid]`` to ``value`` and push the rise along ``nxt``
-        (one more per edge); stops wherever the depth is already as high."""
-        stack = [(nid, value)]
-        while stack:
-            u, d = stack.pop()
-            if d > depth[u]:
-                depth[u] = d
-                stack.extend((v, d + 1) for v in nxt.get(u, ()))
-
     def _link(self, provider: int, consumer: int, attach: int, ra: int) -> bool:
-        """Add Ψ edge provider→consumer unless it would create a cycle or
-        push the longest provider chain past ``max_depth``: the chain through
-        the new edge is the provider's ``level``, the edge and the
-        consumer's ``height``.
-
-        The depth cap bounds the sequential attach rounds of the
-        enumeration phase — each chain link a closed prefix follows costs
-        one attach join, while the bulk of the sharing benefit sits in the
-        first links (DESIGN.md §2)."""
-        if self._reaches(consumer, provider):
-            return False
-        if self.level[provider] + 1 + self.height[consumer] > self.max_depth - 1:
+        """Add Ψ edge provider→consumer unless it is a self-link or would
+        make a chain: the provider may have no provider, the consumer no
+        consumer. One link deep, a closed prefix is finished by one attach
+        round of the enumeration phase (DESIGN.md §2)."""
+        if provider == consumer or provider in self.consumers or consumer in self.providers:
             return False
         self.edges.append(PsiEdge(provider, consumer, attach, ra))
-        self.consumers[provider].add(consumer)
-        self.providers[consumer].add(provider)
-        self._raise(self.level, consumer, self.level[provider] + 1, self.consumers)
-        self._raise(self.height, provider, self.height[consumer] + 1, self.providers)
-        # Provider inherits the consumer's current pairs (shifted to the
-        # provider's local hop frame) so its remaining wave is pruned for
-        # this consumer too; exact caps are recomputed by propagate_pairs.
+        self.providers.add(provider)
+        self.consumers.add(consumer)
+        # Provider inherits the consumer's pairs (shifted to the provider's
+        # local hop frame) so its remaining wave is pruned for this consumer
+        # too; a consumer never provides, so its pairs are already final.
         b_c = self.nodes[consumer].budget
-        for t, cap in list(self.pairs[consumer].items()):
+        for t, cap in self.pairs[consumer].items():
             self._add_pair(provider, t, cap - (b_c - ra))
         return True
 
@@ -266,16 +223,12 @@ class _Detector:
                         if not self._link(owner, x, v, rem):
                             self._push_from(x, v, rem)
                 elif len(s_q) > 1 and rem >= 2:
-                    # A fresh dominating node has no providers (level 0);
-                    # pre-check the depth cap per consumer so we only create
-                    # it when ≥ 2 consumers can actually share it. Budget-1
-                    # nodes would only share single-edge hops — the
-                    # "submarginal" sharing the paper's clustering exists to
-                    # avoid — so they are not created at all.
-                    ok = [
-                        x for x in s_q
-                        if 1 + self.height[x] <= self.max_depth - 1
-                    ]
+                    # A fresh dominating node has no provider; it is created
+                    # only when ≥ 2 arrivals without a consumer can link to
+                    # it. Budget-1 nodes would only share single-edge hops —
+                    # the "submarginal" sharing the paper's clustering exists
+                    # to avoid — so they are not created at all.
+                    ok = [x for x in s_q if x not in self.providers]
                     if len(ok) >= 2:
                         d = self._new_node(v, rem)
                         self.m_q[v] = d.nid
@@ -312,13 +265,12 @@ def build_shared_plan(
     radj: Adj,
     dist_from_s: DistMap,
     dist_to_t: DistMap,
-    max_depth: int = MAX_DEPTH,
 ) -> ExecPlan:
     """BatchEnum's plan: run Alg 3 per cluster on G and G_r, merge the
-    resulting Ψ fragments and their chain levels, group Ψ into topological
-    levels, and propagate prune pairs in that order. Each Ψ edge is one stop
-    rule: a consumer reaches a vertex at most once and stops where it links,
-    so no (consumer, vertex) has two edges.
+    resulting Ψ fragments and group Ψ into its two topological levels, the
+    non-consumers and the consumers. Each Ψ edge is one stop rule: a
+    consumer reaches a vertex at most once and stops where it links, so no
+    (consumer, vertex) has two edges.
 
     ``dist_from_s[s][v] = dist_G(s, v)`` (prunes the G_r side);
     ``dist_to_t[t][v] = dist_{G_r}(t, v) = dist_G(v, t)`` (prunes the G
@@ -330,7 +282,6 @@ def build_shared_plan(
     plan = ExecPlan()
     nid = 0
     all_pairs: dict[int, dict[int, int]] = defaultdict(dict)
-    level: dict[int, int] = {}
     fnid: dict[int, int] = {}  # qid -> forward node, kept for the B pass
     for cluster in clusters:
         qs = [by_qid[qid] for qid in cluster]
@@ -344,7 +295,7 @@ def build_shared_plan(
                 root, budget, far = (q.s, a, q.t) if side == "F" else (q.t, q.k - a, q.s)
                 root_budget[root] = max(root_budget.get(root, 0), budget)
                 root_pairs[root].append((far, q.k))
-            det = _Detector(side, graph, dist_far, nid, max_depth=max_depth)
+            det = _Detector(side, graph, dist_far, nid)
             node_of_root = {
                 root: det._new_node(root, root_budget[root]) for root in sorted(root_budget)
             }
@@ -353,7 +304,6 @@ def build_shared_plan(
             plan.nodes += list(det.nodes.values())
             plan.edges += det.edges
             all_pairs.update(det.pairs)  # each detector numbers its own nodes
-            level.update(det.level)
             for q in qs:
                 if side == "F":
                     fnid[q.qid] = node_of_root[q.s].nid
@@ -362,12 +312,15 @@ def build_shared_plan(
                         q.qid, q.s, q.t, q.k, splits[q.qid],
                         fnid[q.qid], node_of_root[q.t].nid,
                     ))
-    if any(level[e.provider] >= level[e.consumer] for e in plan.edges):
-        raise RuntimeError("Ψ is not a DAG — cycle guard failed")
-    plan.topo_levels = [[] for _ in range(max(level.values(), default=-1) + 1)]
-    for n in plan.nodes:  # in nid order
-        plan.topo_levels[level[n.nid]].append(n)
-    _propagate_pairs(plan, all_pairs)
+    # attach_cached finishes a closed prefix in one round: a chain would lose paths
+    consumers = {e.consumer for e in plan.edges}
+    if any(e.provider in consumers for e in plan.edges):
+        raise RuntimeError("Ψ is not one link deep: a consumer also provides")
+    levels = (
+        [n for n in plan.nodes if n.nid not in consumers],  # in nid order
+        [n for n in plan.nodes if n.nid in consumers],
+    )
+    plan.topo_levels = [lv for lv in levels if lv]
     plan.prune_pairs = [
         (n_id, t, cap)
         for n_id, pr in sorted(all_pairs.items())
@@ -379,20 +332,3 @@ def build_shared_plan(
         key=lambda r: (r.nid, r.stop_v),
     )
     return plan
-
-
-def _propagate_pairs(plan: ExecPlan, pairs: dict[int, dict[int, int]]) -> None:
-    """Exact consumer→provider cap propagation: ``plan.topo_levels`` walked
-    in reverse visits every consumer, with its caps final, before its
-    providers (see DESIGN.md §2)."""
-    in_edges: dict[int, list[PsiEdge]] = defaultdict(list)  # consumer -> edges
-    for e in plan.edges:
-        in_edges[e.consumer].append(e)
-    for level in reversed(plan.topo_levels):
-        for node in level:
-            for e in in_edges.get(node.nid, ()):
-                shift = node.budget - e.ra
-                for t, cap in pairs[node.nid].items():
-                    new_cap = cap - shift
-                    if new_cap > pairs[e.provider].get(t, -(10**9)):
-                        pairs[e.provider][t] = new_cap

@@ -4,6 +4,8 @@ the reference engine and, as whole batches, against the DuckDB oracle.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.baselines.ksp import run_dksp, run_onepass
@@ -156,10 +158,9 @@ class TestTinyBatchCorrectness:
 
 
 class TestPsiChains:
-    """TINY seed 2 plans Ψ in 4 topological levels, with the ⁺ split and at
-    γ = 0 too: a level-2 node's provider sits in level 1, so it is itself a
-    consumer, and a prefix closed at its root is extended through its own
-    closed prefixes in a second attach round."""
+    """TINY seed 2 gives Ψ edges with the default split, the ⁺ split and at
+    γ = 0: the plan has its two levels, and every prefix closed at a
+    provider's root is finished in one attach round."""
 
     @pytest.fixture(scope="class")
     def chain_queries(self, tiny_adj):
@@ -167,13 +168,12 @@ class TestPsiChains:
 
     @pytest.mark.parametrize(
         "kw",
-        [{}, {"max_depth": 2}, {"optimized": True}, {"gamma": 0}],
-        ids=["default", "depth2", "optimized", "gamma0"],
+        [{}, {"optimized": True}, {"gamma": 0}],
+        ids=["default", "optimized", "gamma0"],
     )
     def test_matches_reference(self, spark, tiny_edges, tiny_adj, chain_queries, kw):
         rr = run_batch(spark, tiny_edges, chain_queries, **{"gamma": 0.5, **kw})
-        if "max_depth" not in kw:
-            assert rr.extras["n_levels"] >= 3
+        assert rr.extras["n_levels"] == 2
         want = {
             q.qid: ref.enum_st_paths(tiny_adj, q.s, q.t, q.k) for q in chain_queries
         }
@@ -183,6 +183,13 @@ class TestPsiChains:
 RUNNERS = pytest.mark.parametrize(
     "run", [run_pathenum, run_basic, run_batch, run_dksp, run_onepass],
     ids=["pathenum", "basic", "batch", "dksp", "onepass"],
+)
+# the five enumerators and the ⁺ variants the harness runs
+RUNNERS_PLUS = pytest.mark.parametrize(
+    "run",
+    [run_pathenum, run_basic, partial(run_basic, optimized=True), run_batch,
+     partial(run_batch, optimized=True), run_dksp, run_onepass],
+    ids=["pathenum", "basic", "basic+", "batch", "batch+", "dksp", "onepass"],
 )
 
 
@@ -243,7 +250,7 @@ class TestDegenerateBatches:
             assert by_query(rr, qs) == {0: set(), 1: want}, absent
             assert rr.extras["n_paths"] == len(want), absent
 
-    @RUNNERS
+    @RUNNERS_PLUS
     def test_nonpositive_k(self, spark, paper_edges, paper_adj, paper_pdf, run):
         # A path has at least one hop, so k ≤ 0 admits none, even where s
         # has a direct edge to t (0 → 1); the query beside it stays exact.
@@ -258,7 +265,7 @@ class TestDegenerateBatches:
                 paths_as_strings(rr.results), st_paths_sql(qs), edges=paper_pdf
             )
 
-    @RUNNERS
+    @RUNNERS_PLUS
     def test_repeated_qid_rejected(self, spark, paper_edges, run):
         # Rows are keyed by qid: sharing one would mix the two queries'
         # halves into paths from v9 to v11 that answer neither.

@@ -271,6 +271,14 @@ def expand_then_attach(spark, adj, *chain):
     return attach_cached(*expand_chain(spark, adj, *chain))
 
 
+def attach_counting_jobs(spark, expanded, closed_rows):
+    """:func:`attach_cached` and the number of Spark jobs it started."""
+    jobs = spark.sparkContext._jsc.sc().dagScheduler().nextJobId
+    before = jobs()
+    got = attach_cached(expanded, closed_rows)
+    return got, jobs() - before
+
+
 class TestStopsAndCache:
     def test_stop_concatenates_cached_paths(
         self, spark, paper_adj
@@ -281,22 +289,25 @@ class TestStopsAndCache:
         )
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
 
-    def test_two_link_chain(self, spark, paper_adj):
-        # q_{v0,4,G} stops at v1 and reuses q_{v1,3,G}, which stops at v7
-        # and reuses q_{v7,2,G}: (v0,v1,v7,v10,v12) needs both rounds. Each
-        # round broadcasts the closed rows and checkpoints the result: 2
-        # jobs a round, where a shuffle join of the closed rows took 3.
+    def test_one_link_attach_jobs(self, spark, paper_adj):
+        # q_{v0,4,G} stops at v1 and reuses q_{v1,3,G}. Ψ is one link deep,
+        # so one round finishes every closed prefix: the broadcast of the
+        # closed rows and the checkpoint of the result, 2 jobs.
         expanded, closed_rows = expand_chain(
-            spark, paper_adj,
-            HcsNode(2, 7, 2, "F"), HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 4, "F"),
+            spark, paper_adj, HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 4, "F"),
         )
-        jobs = spark.sparkContext._jsc.sc().dagScheduler().nextJobId
-        before = jobs()
-        got = attach_cached(expanded, closed_rows)
-        assert jobs() - before == 2 * 2
-        assert (0, 1, 7, 10, 12) in node_paths(got, 0)
+        assert closed_rows > 0
+        got, jobs = attach_counting_jobs(spark, expanded, closed_rows)
+        assert jobs == 2
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
         assert node_paths(got, 1) == ref.enum_hcs_paths(paper_adj, 1, 3)
+
+    def test_no_closed_rows_no_jobs(self, spark, paper_adj):
+        expanded, closed_rows = expand_chain(spark, paper_adj, HcsNode(0, 0, 4, "F"))
+        assert closed_rows == 0
+        got, jobs = attach_counting_jobs(spark, expanded, closed_rows)
+        assert jobs == 0
+        assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
 
     def test_stop_bare_prefix_emitted(self, spark, paper_adj):
         # the zero-length cached path must surface the stopped prefix itself

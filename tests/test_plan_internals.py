@@ -1,6 +1,6 @@
-"""Invariants of the shared execution plan on randomized batches: depth cap,
-prune-pair propagation, stop-rule/provider consistency; and the planner's
-exact output pinned over a grid of batches."""
+"""Invariants of the shared execution plan on randomized batches: Ψ one link
+deep, prune-pair inheritance, stop-rule/provider consistency; and the
+planner's exact output pinned over a grid of batches."""
 from __future__ import annotations
 
 import hashlib
@@ -45,7 +45,9 @@ def rand_plan(request, tiny_adj, tiny_radj):
 class TestPlanInvariants:
     def test_depth_cap_respected(self, rand_plan):
         _, plan = rand_plan
-        assert len(plan.topo_levels) <= sharing.MAX_DEPTH
+        assert len(plan.topo_levels) <= 2
+        providers = {e.provider for e in plan.edges}
+        assert not providers & {e.consumer for e in plan.edges}
 
     def test_levels_partition_nodes(self, rand_plan):
         _, plan = rand_plan
@@ -90,7 +92,7 @@ class TestPlanInvariants:
             seen.add((s.nid, s.stop_v))
 
     def test_initial_prune_caps_cover_consumers(self, rand_plan):
-        """Propagated caps must be at least as loose as each query's own
+        """Inherited caps must be at least as loose as each query's own
         requirement on its initial nodes (nothing a consumer needs may be
         pruned away — DESIGN.md §2)."""
         qs, plan = rand_plan
@@ -124,11 +126,11 @@ def _pdf_adjacency(pdf):
 
 # sha256 over the plans of test_plan_digest_pinned's grid: a planner change
 # that alters any node, edge, stop, cap or level changes it.
-PLAN_DIGEST = "7a151672e8e95ad0b56c04410e3573f7d6962f06d9a1e5490e238bfe54b61fd3"
+PLAN_DIGEST = "e2283fb9f6e89872ce4a56130235e4d0d4efd74b501094b99c30ff678699b2db"
 
 
-def _grid_plans(adj, radj, n, seed, share, gammas, max_depths):
-    """``(max_depth, plan)`` for one batch over γ × split × ``max_depth``."""
+def _grid_plans(adj, radj, n, seed, share, gammas):
+    """The plans of one batch over γ × split."""
     qs = gen_queries(adj, n, k_range=(3, 5), share=share, min_dist=2, seed=seed)
     k = max(q.k for q in qs)
     dfs = dist_maps(adj, sorted({q.s for q in qs}), k)
@@ -140,40 +142,41 @@ def _grid_plans(adj, radj, n, seed, share, gammas, max_depths):
             splits = compute_splits(qs, optimized, dfs, dtt)
             if optimized:
                 splits = align_splits_per_cluster(qs, clusters, splits)
-            for max_depth in max_depths:
-                yield max_depth, build_shared_plan(
-                    qs, clusters, splits, adj, radj, dfs, dtt, max_depth=max_depth,
-                )
+            yield build_shared_plan(qs, clusters, splits, adj, radj, dfs, dtt)
 
 
-def test_plan_digest_pinned(tiny_pdf, small_pdf):
-    """Every part of Ψ's plan is pinned, byte for byte, over a grid of
-    batches: graph × seed × share × γ × split × ``max_depth``. The planner
-    is driver-only, so this runs without Spark; it is the baseline any
-    rewrite or fuzzer of ``build_shared_plan`` starts from."""
-    h = hashlib.sha256()
-    levels_seen = set()
-    n_plans = 0
+def _digest_grid(tiny_pdf, small_pdf):
+    """The 414 plans of graph × seed × share × γ × split that
+    :data:`PLAN_DIGEST` pins."""
     for pdf, n, seeds in ((tiny_pdf, 12, range(1, 16)), (small_pdf, 20, range(1, 9))):
         adj = _pdf_adjacency(pdf)
         radj = reverse_adjacency(adj)
         for seed in seeds:
             for share in (0.0, 0.5, 0.9):
-                for _, plan in _grid_plans(
-                    adj, radj, n, seed, share, (0.0, 0.5, 1.0), (1, 2, 3, 4)
-                ):
-                    h.update(repr((
-                        [astuple(x) for x in plan.nodes],
-                        [astuple(x) for x in plan.edges],
-                        [astuple(x) for x in plan.plans],
-                        [astuple(x) for x in plan.stops],
-                        plan.prune_pairs,
-                        [[x.nid for x in lv] for lv in plan.topo_levels],
-                    )).encode())
-                    levels_seen.add(len(plan.topo_levels))
-                    n_plans += 1
-    assert n_plans == 1656
-    assert levels_seen == {1, 2, 3, 4}
+                yield from _grid_plans(adj, radj, n, seed, share, (0.0, 0.5, 1.0))
+
+
+def test_plan_digest_pinned(tiny_pdf, small_pdf):
+    """Every part of Ψ's plan is pinned, byte for byte, over a grid of
+    batches: graph × seed × share × γ × split. The planner is driver-only,
+    so this runs without Spark; it is the baseline any rewrite or fuzzer of
+    ``build_shared_plan`` starts from."""
+    h = hashlib.sha256()
+    levels_seen = set()
+    n_plans = 0
+    for plan in _digest_grid(tiny_pdf, small_pdf):
+        h.update(repr((
+            [astuple(x) for x in plan.nodes],
+            [astuple(x) for x in plan.edges],
+            [astuple(x) for x in plan.plans],
+            [astuple(x) for x in plan.stops],
+            plan.prune_pairs,
+            [[x.nid for x in lv] for lv in plan.topo_levels],
+        )).encode())
+        levels_seen.add(len(plan.topo_levels))
+        n_plans += 1
+    assert n_plans == 414
+    assert levels_seen == {1, 2}
     assert h.hexdigest() == PLAN_DIGEST
 
 
@@ -199,51 +202,60 @@ def kahn_levels(plan):
     return levels if sum(map(len, levels)) == len(plan.nodes) else None
 
 
-def assert_levels(plan, max_depth):
+def assert_levels(plan):
     levels = [[n.nid for n in lv] for lv in plan.topo_levels]
     assert levels == kahn_levels(plan)
     at = {nid: i for i, lv in enumerate(levels) for nid in lv}
     assert all(at[e.provider] < at[e.consumer] for e in plan.edges)
-    assert len(levels) <= max_depth
+    assert len(levels) <= 2
 
 
 def test_levels_match_kahn(tiny_pdf, small_pdf):
-    """The levels read off the planner's chain map are Kahn's levels, with
-    and without a depth cap."""
+    """The planner's two levels, non-consumers then consumers, are Kahn's
+    levels."""
     levels_seen = set()
     for pdf, n, seeds in ((tiny_pdf, 12, range(1, 6)), (small_pdf, 20, range(1, 4))):
         adj = _pdf_adjacency(pdf)
         radj = reverse_adjacency(adj)
         for seed in seeds:
             for share in (0.5, 0.9):
-                for max_depth, plan in _grid_plans(
-                    adj, radj, n, seed, share, (0.0, 0.5), (1, 2, 3, 4, 10**6)
-                ):
-                    assert_levels(plan, max_depth)
+                for plan in _grid_plans(adj, radj, n, seed, share, (0.0, 0.5)):
+                    assert_levels(plan)
                     levels_seen.add(len(plan.topo_levels))
-    assert max(levels_seen) > 4  # the uncapped plans go deeper than the cap
+    assert max(levels_seen) == 2  # the grid's plans have Ψ edges
 
 
-def test_uncapped_deep_plan():
-    """SL, |Q| = 100: with no depth cap Ψ chains 47 levels deep, and the
-    planner still reads them off in one pass."""
+def test_no_edge_attaches_at_its_consumers_root(tiny_pdf, small_pdf):
+    """A consumer never stops at its own root. With chains allowed, SL
+    |Q| = 100, k 4–7, seed 2 linked initial node 1 to dominating node 58 at
+    vertex 85, node 58's own root: node 58 was made there at rem 3, before
+    node 1 registered the root at rem 2. A dominating node provides, so one
+    link deep it cannot consume."""
     adj = _pdf_adjacency(powerlaw_edges(DATASETS["SL"]))
     radj = reverse_adjacency(adj)
-    qs = gen_queries(adj, 100, k_range=(4, 6), share=0.6, min_dist=3, seed=1)
-    dfs = dist_maps(adj, sorted({q.s for q in qs}), 6)
-    dtt = dist_maps(radj, sorted({q.t for q in qs}), 6)
+    qs = gen_queries(adj, 100, k_range=(4, 7), share=0.6, min_dist=3, seed=2)
+    dfs = dist_maps(adj, sorted({q.s for q in qs}), 7)
+    dtt = dist_maps(radj, sorted({q.t for q in qs}), 7)
     clusters = cluster_queries(pairwise_mu(dfs, dtt, qs), [q.qid for q in qs], 0.5)
     splits = {q.qid: default_split(q) for q in qs}
-    plan = build_shared_plan(qs, clusters, splits, adj, radj, dfs, dtt, max_depth=10**6)
-    assert_levels(plan, 10**6)
-    assert len(plan.topo_levels) == 47
+    sl_plan = build_shared_plan(qs, clusters, splits, adj, radj, dfs, dtt)
+    assert sl_plan.edges
+    for plan in [sl_plan, *_digest_grid(tiny_pdf, small_pdf)]:
+        root = {n.nid: n.root for n in plan.nodes}
+        assert all(e.attach != root[e.consumer] for e in plan.edges)
 
 
 def test_non_rising_edge_raises(tiny_pdf, monkeypatch):
-    """An edge whose provider does not sit in a lower level than its
-    consumer fails the DAG guard instead of yielding a wrong order."""
+    """A chain that slips past ``_link``'s one-link rule fails the guard
+    instead of losing paths in the one-round attach."""
     adj = _pdf_adjacency(tiny_pdf)
     radj = reverse_adjacency(adj)
-    monkeypatch.setattr(sharing._Detector, "_raise", staticmethod(lambda *_: None))
-    with pytest.raises(RuntimeError, match="not a DAG"):
-        next(_grid_plans(adj, radj, 12, 2, 0.9, (0.5,), (4,)))
+    link = sharing._Detector._link
+
+    def chain_link(self, *edge):
+        self.consumers.clear()  # forget who consumes: a consumer may provide
+        return link(self, *edge)
+
+    monkeypatch.setattr(sharing._Detector, "_link", chain_link)
+    with pytest.raises(RuntimeError, match="one link deep"):
+        next(_grid_plans(adj, radj, 12, 2, 0.5, (0.5,)))
