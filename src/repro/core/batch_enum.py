@@ -14,8 +14,10 @@ Pipeline (Alg 4 lines 1-16):
    loop whose searches *stop* at provider roots (the pruned adjacency's
    ``provider`` column). Then each stopped prefix concatenates its
    provider's paths in one attach round (Ψ is one link deep, so a
-   provider's paths are all open). Finally every query's forward and
-   backward HC-s results are ⊕-concatenated.
+   provider's paths are all open), a broadcast join left lazy. Finally
+   every query's forward and backward HC-s results are ⊕-concatenated in
+   one broadcast hash join, whose checkpoint also runs the attach: the
+   attach adds a broadcast to that job and no Spark query of its own.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.

@@ -14,11 +14,16 @@ This module is the dataflow core every algorithm shares:
   :func:`unpruned_adjacency` is the same walk with no pruning and no stops.
 * :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
   22-23): every closed prefix is extended by its provider's paths in one
-  broadcast join of the closed prefixes (Ψ is one link deep).
-* :func:`assemble` — the ⊕ operator (Def 3.1): one join of forward
-  half-paths with backward half-paths at the meeting vertex, with the
-  duplicate-free split and ``arrays_overlap`` simplicity filter described
-  in DESIGN.md §2.
+  broadcast join of the closed prefixes (Ψ is one link deep), left lazy so
+  that ⊕'s checkpoint runs it.
+* :func:`assemble` — the ⊕ operator (Def 3.1): one broadcast hash join of
+  forward half-paths with backward half-paths at the meeting vertex, with
+  the duplicate-free split and ``arrays_overlap`` simplicity filter
+  described in DESIGN.md §2.
+
+Every step is built from one ``join``, one SQL ``where`` and one
+``selectExpr`` per side: Spark plans each DataFrame call afresh, and on
+small batches that planning, not the rows, sets the seconds.
 
 Paths are ``array<long>`` columns; ``len`` is the hop count (|path| − 1).
 """
@@ -205,35 +210,28 @@ def enumerate_nodes(
     # one Spark job per hop regardless of direction mix, with no per-hop
     # shuffle. Each hop's new rows are checkpointed once; that checkpoint's
     # job also counts the rows and the closed ones (an observation), and
-    # the frontier and the running result union read it.
-    padj = F.broadcast(padj.withColumnRenamed("src", "last"))
-    node_tab = local_frame(
+    # the frontier and the running result union read it. The adjacency's
+    # ``provider`` is renamed ``stop`` so that the frontier can keep its own.
+    padj = F.broadcast(
+        padj.selectExpr("nid", "src AS last", "dst", "allow", "provider AS stop")
+    )
+    frontier = local_frame(
         spark,
         [(n.nid, n.root, n.budget) for n in nodes],
         "nid long, root long, budget int",
+    ).selectExpr(
+        "nid", "array(root) AS path", "root AS last", "0 AS len", "budget",
+        "CAST(NULL AS BIGINT) AS provider",
     )
-    frontier = node_tab.select(
-        "nid",
-        F.array("root").alias("path"),
-        F.col("root").alias("last"),
-        F.lit(0).alias("len"),
-        "budget",
-    )
-    results = frontier.select("*", F.lit(None).cast("long").alias("provider"))
+    results = frontier
     max_budget = max(n.budget for n in nodes)
     for _ in range(max_budget):
-        live = frontier.where(F.col("len") < F.col("budget"))
         new = (
-            live.join(padj, ["nid", "last"])
-            .where(F.col("len") + 1 <= F.col("allow"))
-            .where(~F.expr("array_contains(path, dst)"))
-            .select(
-                "nid",
-                F.expr("array_append(path, dst)").alias("path"),
-                F.col("dst").alias("last"),
-                (F.col("len") + 1).cast("int").alias("len"),
-                "budget",
-                "provider",
+            frontier.join(padj, ["nid", "last"])
+            .where("len < budget AND len + 1 <= allow AND NOT array_contains(path, dst)")
+            .selectExpr(
+                "nid", "array_append(path, dst) AS path", "dst AS last",
+                "CAST(len + 1 AS INT) AS len", "budget", "stop AS provider",
             )
         )
         new, seen = checkpoint_counted(new, closed=F.count("provider"))
@@ -243,8 +241,7 @@ def enumerate_nodes(
         stats.expanded_rows += seen["rows"]
         stats.closed_rows += seen["closed"]
         results = results.unionByName(new)
-        # the next hop's join brings its own provider column
-        frontier = new.where(F.col("provider").isNull()).drop("provider")
+        frontier = new.where("provider IS NULL")
     return results
 
 
@@ -256,40 +253,35 @@ def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
     ``closed_rows`` rows carry a provider; its open rows are final. Ψ is one
     link deep, so a provider never stops and all its rows are open: one
     round finishes every closed prefix. The round broadcasts the closed rows
-    and joins them with ``expanded`` on ``provider = nid``, keeping cached
-    paths of ``clen ≤ budget − len`` hops (the consumer's budget, carried on
-    the row) that do not revisit the prefix, and checkpoints the result
-    once, because ⊕ reads the union twice: 2 Spark jobs (the broadcast and
-    the checkpoint), none when no row is closed. The closed side is the
-    small one: it holds only the prefixes that closed at a stop vertex.
+    ``p`` and joins them with the cached rows ``c`` of ``expanded`` on
+    ``p.provider = c.nid``, keeping cached paths of ``c.len ≤ p.budget −
+    p.len`` hops (the consumer's budget, carried on the row) that do not
+    revisit the prefix. The result is lazy and starts
+    no Spark job: the job that reads it (⊕'s checkpoint) also runs the
+    broadcast, and ⊕'s two reads of it share that one broadcast. Its inputs
+    are the hop loop's checkpoints, so reading it twice re-runs only the
+    join. The closed side is the small one: it holds only the prefixes that
+    closed at a stop vertex.
 
     Each path splits uniquely at the first stop vertex it reaches, so no
     path is produced twice.
     """
-    cols = ["nid", "path", "last", "len"]
-    paths = expanded.where(F.col("provider").isNull()).select(cols)
+    paths = expanded.where("provider IS NULL").select("nid", "path", "last", "len")
     if not closed_rows:
         return paths
-    cache = expanded.select(
-        F.col("nid").alias("provider"),
-        F.col("path").alias("cpath"),
-        F.col("len").alias("clen"),
-        F.col("last").alias("clast"),
-    )
+    closed = F.broadcast(expanded.where("provider IS NOT NULL").alias("p"))
     attached = (
-        F.broadcast(expanded.where(F.col("provider").isNotNull()))
-        .join(cache, "provider")
-        .where(F.col("clen") <= F.col("budget") - F.col("len"))
-        .withColumn("ctail", F.expr("slice(cpath, 2, clen)"))
-        .where(~F.expr("arrays_overlap(path, ctail)"))
-        .select(
-            "nid",
-            F.expr("concat(path, ctail)").alias("path"),
-            F.col("clast").alias("last"),
-            (F.col("len") + F.col("clen")).cast("int").alias("len"),
+        closed.join(expanded.alias("c"), F.expr("p.provider = c.nid"))
+        .where(
+            "c.len <= p.budget - p.len"
+            " AND NOT arrays_overlap(p.path, slice(c.path, 2, c.len))"
+        )
+        .selectExpr(
+            "p.nid", "concat(p.path, slice(c.path, 2, c.len)) AS path",
+            "c.last AS last", "CAST(p.len + c.len AS INT) AS len",
         )
     )
-    return paths.unionByName(attached.localCheckpoint(eager=True))
+    return paths.unionByName(attached)
 
 
 def assemble(
@@ -302,13 +294,18 @@ def assemble(
     ``paths`` holds the materialized HC-s results of every node referenced
     by ``plans`` (forward paths on G keyed ``fnid``, backward paths on G_r
     keyed ``bnid``). Output: ``(qid, path)`` with ``path`` the full vertex
-    array from s to t. One join, duplicate-free per DESIGN.md §2: a
-    forward row joins the backward suffixes that end at its last vertex,
-    filtered for vertex-disjointness, if it has exactly ``a`` hops (a path
-    of ≥ ``a`` hops splits there) or 1 ≤ hops < ``a`` and ends at t. The
-    only backward path ending at its own root t is the zero-length ``[t]``,
-    so such a row comes out unchanged (the zero-length forward seed ends at
-    t only when s = t, and no query has a 0-hop answer).
+    array from s to t. One broadcast hash join, duplicate-free per DESIGN.md
+    §2: a forward row joins the backward suffixes that end at its last
+    vertex, filtered for vertex-disjointness, if it has exactly ``a`` hops
+    (a path of ≥ ``a`` hops splits there) or 1 ≤ hops < ``a`` and ends at
+    t. The only backward path ending at its own root t is the zero-length
+    ``[t]``, so such a row comes out unchanged (the zero-length forward seed
+    ends at t only when s = t, and no query has a 0-hop answer).
+
+    The backward side is broadcast as ``(bqid, btail, blast)``, its path
+    already reversed and stripped of the meeting vertex, so ⊕ has no
+    shuffle. It is broadcast whichever side is larger: the ``⁺`` split and
+    DkSP can make it the larger one.
     """
     if not plans:
         return no_paths(spark)
@@ -319,33 +316,22 @@ def assemble(
             "qid long, s long, t long, k int, a int, fnid long, bnid long",
         )
     )
-    fwd = paths.join(plan_df, paths["nid"] == plan_df["fnid"]).select(
-        "qid", "t", "a", "k",
-        F.col("path").alias("fpath"),
-        F.col("last").alias("flast"),
-        F.col("len").alias("flen"),
-    )
     # a shared forward node may hold rows longer than ``a``: they split at
     # ``a`` like every other path, so the short rows stop below ``a``
-    fsplit = fwd.where(
-        (F.col("flen") == F.col("a"))
-        | (F.col("flen").between(1, F.col("a") - 1) & (F.col("flast") == F.col("t")))
+    fwd = (
+        paths.join(plan_df, F.expr("nid = fnid"))
+        .where("len = a OR (len BETWEEN 1 AND a - 1 AND last = t)")
+        .selectExpr("qid", "path AS fpath", "last AS flast")
     )
-    bwd = paths.join(plan_df, paths["nid"] == plan_df["bnid"]).select(
-        F.col("qid").alias("bqid"),
-        (F.col("k") - F.col("a")).alias("b"),
-        F.col("path").alias("bpath"),
-        F.col("last").alias("blast"),
-        F.col("len").alias("blen"),
-    ).where(F.col("blen") <= F.col("b"))
+    bwd = (
+        paths.join(plan_df, F.expr("nid = bnid"))
+        .where("len <= k - a")
+        .selectExpr("qid AS bqid", "slice(reverse(path), 2, len) AS btail", "last AS blast")
+    )
     return (
-        fsplit.join(
-            bwd,
-            (fsplit["qid"] == bwd["bqid"]) & (fsplit["flast"] == bwd["blast"]),
-        )
-        .withColumn("btail", F.expr("slice(reverse(bpath), 2, blen)"))
-        .where(~F.expr("arrays_overlap(fpath, btail)"))
-        .select("qid", F.expr("concat(fpath, btail)").alias("path"))
+        fwd.join(F.broadcast(bwd), F.expr("qid = bqid AND flast = blast"))
+        .where("NOT arrays_overlap(fpath, btail)")
+        .selectExpr("qid", "concat(fpath, btail) AS path")
     )
 
 

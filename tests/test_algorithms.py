@@ -120,6 +120,22 @@ class TestPaperBatchCorrectness:
         assert paper_runs[algo].stats == want
         assert paper_runs[algo].extras["n_paths"] == 11
 
+    @pytest.mark.parametrize(
+        "run,want",
+        [(partial(run_batch, gamma=0.8), 12), (run_basic, 11)],
+        ids=["batch", "basic"],
+    )
+    def test_spark_jobs_pinned(self, spark, paper_edges, run, want):
+        # The edge collect, 2 jobs per hop (the adjacency's broadcast and
+        # the checkpoint) and ⊕'s checkpoint, which also runs the attach's
+        # and ⊕'s broadcasts. On the benchmark workloads a batch's seconds
+        # follow its Spark query count, not its rows, so a change that adds
+        # a job fails here first.
+        jobs = spark.sparkContext._jsc.sc().dagScheduler().nextJobId
+        before = jobs()
+        run(spark, paper_edges, PAPER_Q)
+        assert jobs() - before == want
+
     def test_all_paths_respect_hop_constraint(self, paper_runs):
         qk = {q.qid: q.k for q in PAPER_Q}
         for r in paper_runs["batch"].results.collect():

@@ -3,6 +3,7 @@ attachment, ⊕."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from pyspark.sql import functions as F
 
 from repro.core import ref_engine as ref
@@ -24,6 +25,7 @@ from repro.core.sharing import ExecPlan
 from repro.graph.ops import reverse_adjacency
 from repro.oracle import assert_equivalent
 from tests.sqlgen import hcs_paths_sql
+from tests.test_properties import digraphs
 
 
 def node_paths(df, nid):
@@ -291,14 +293,14 @@ class TestStopsAndCache:
 
     def test_one_link_attach_jobs(self, spark, paper_adj):
         # q_{v0,4,G} stops at v1 and reuses q_{v1,3,G}. Ψ is one link deep,
-        # so one round finishes every closed prefix: the broadcast of the
-        # closed rows and the checkpoint of the result, 2 jobs.
+        # so one round finishes every closed prefix. The round is lazy: the
+        # job that reads it (⊕'s checkpoint) also runs its broadcast.
         expanded, closed_rows = expand_chain(
             spark, paper_adj, HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 4, "F"),
         )
         assert closed_rows > 0
         got, jobs = attach_counting_jobs(spark, expanded, closed_rows)
-        assert jobs == 2
+        assert jobs == 0
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
         assert node_paths(got, 1) == ref.enum_hcs_paths(paper_adj, 1, 3)
 
@@ -352,6 +354,31 @@ class TestAssemble:
         assert {tuple(r["path"]) for r in got.collect()} == ref.enum_st_paths(
             paper_adj, q[0], q[1], q[2]
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(digraphs(), st.integers(0, 7), st.integers(0, 7), st.integers(1, 4))
+    def test_every_split_matches_naive(self, spark, adj, s, t, k):
+        """Every split ``a ∈ 0..k`` of one query, each its own qid, in one ⊕:
+        ``a < k − a`` makes the broadcast backward half the larger side (the
+        ⁺ split, DkSP) and ``a = k`` leaves it the bare ``[t]`` (OnePass)."""
+        assume(s != t)
+        nodes, plans = [], []
+        for a in range(k + 1):
+            nodes += [HcsNode(2 * a, s, a, "F"), HcsNode(2 * a + 1, t, k - a, "B")]
+            plans.append(QueryPlan(a, s, t, k, a, 2 * a, 2 * a + 1))
+        paths = unpruned(spark, (adj, reverse_adjacency(adj)), nodes)
+        rows = [(r["qid"], tuple(r["path"])) for r in assemble(spark, paths, plans).collect()]
+        assert len(rows) == len(set(rows))
+        want = ref.enum_st_paths(adj, s, t, k)
+        for a in range(k + 1):
+            assert {p for qid, p in rows if qid == a} == want, a
+
+    def test_final_join_is_broadcast(self, spark, paper_graph):
+        paths = self._halves(spark, paper_graph, (0, 11, 5), 3)
+        got = assemble(spark, paths, [QueryPlan(0, 0, 11, 5, 3, 0, 1)])
+        plan = got._jdf.queryExecution().executedPlan().toString()
+        assert "BroadcastHashJoin" in plan
+        assert "Exchange hashpartitioning" not in plan
 
     def test_no_duplicate_paths(self, spark, paper_graph):
         paths = self._halves(spark, paper_graph, (0, 11, 5), 3)
