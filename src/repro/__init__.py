@@ -16,7 +16,8 @@ def session(app: str):
     or ``spark-submit``). The settings made here take effect on a running
     JVM: 64 shuffle partitions, Arrow for pandas conversion, and no
     automatic broadcast joins — the code marks every broadcast it wants
-    (DESIGN.md §2), so the remaining joins exercise the shuffle path.
+    (DESIGN.md §2), and every join of the enumerators is one of them, so
+    none shuffles.
     """
     from pyspark.sql import SparkSession
 

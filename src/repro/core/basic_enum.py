@@ -16,7 +16,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import enumeration
 from repro.core import index as idx
-from repro.core.enumeration import EnumStats, assemble, enumerate_nodes, no_paths
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
 from repro.core.index import DistMap, collect_dists
 from repro.core.queries import Query, check_unique_qids
 from repro.core.sharing import build_basic_plan, default_split, optimized_split
@@ -64,11 +64,7 @@ def run_basic(
     check_unique_qids(queries)
     timer = StageTimer()
     stats = EnumStats()
-    if not queries:
-        return RunResult(
-            no_paths(spark), timer.seconds, stats, {"n_paths": 0, "n_nodes": 0}
-        )
-    k_max = max(q.k for q in queries)
+    k_max = max((q.k for q in queries), default=0)
     with timer.stage("build_index"):
         # collect_adjacency and collect_dists are imported by name, unlike
         # idx.bidirectional_index: perfbench's trace lists no ops or

@@ -10,14 +10,15 @@ Pipeline (Alg 4 lines 1-16):
    driver-side hierarchical clustering at threshold γ.
 3. **IdentifySubquery** — per cluster, DetectCommonQuery on G and G_r builds
    the query sharing graph Ψ (``repro.core.sharing``).
-4. **Enumeration** — all of Ψ's HC-s nodes expand in one batched Spark hop
-   loop whose searches *stop* at provider roots (the pruned adjacency's
-   ``provider`` column). Then each stopped prefix concatenates its
-   provider's paths in one attach round (Ψ is one link deep, so a
-   provider's paths are all open), a broadcast join left lazy. Finally
-   every query's forward and backward HC-s results are ⊕-concatenated in
-   one broadcast hash join, whose checkpoint also runs the attach: the
-   attach adds a broadcast to that job and no Spark query of its own.
+4. **Enumeration** — as BasicEnum: the pruned adjacency, one
+   ``enumerate_nodes`` call and ⊕. All of Ψ's HC-s nodes expand in one
+   batched Spark hop loop whose searches *stop* at provider roots (the
+   pruned adjacency's ``provider`` column), and ``enumerate_nodes`` returns
+   each node's R with every stopped prefix concatenated with its provider's
+   paths (one lazy broadcast join: Ψ is one link deep, so a provider's
+   paths are all open). Every query's forward and backward halves are then
+   ⊕-concatenated in one broadcast hash join, whose checkpoint also runs
+   the attach's broadcast: the attach plans no Spark query of its own.
 
 ``optimized=True`` (BatchEnum⁺) applies the cost-based search-order split
 before detection, so sharing operates on the optimized budgets.
@@ -30,13 +31,7 @@ from repro.core import enumeration
 from repro.core import index as idx
 from repro.core.basic_enum import RunResult, compute_splits
 from repro.core.clustering import cluster_queries
-from repro.core.enumeration import (
-    EnumStats,
-    assemble,
-    attach_cached,
-    enumerate_nodes,
-    no_paths,
-)
+from repro.core.enumeration import EnumStats, assemble, enumerate_nodes
 from repro.core.queries import Query, check_unique_qids
 from repro.core.sharing import align_splits_per_cluster, build_shared_plan
 from repro.core.similarity import batch_similarity, pairwise_mu
@@ -56,13 +51,7 @@ def run_batch(
     check_unique_qids(queries)
     timer = StageTimer()
     stats = EnumStats()
-    if not queries:
-        return RunResult(
-            no_paths(spark), timer.seconds, stats,
-            {"n_paths": 0, "n_nodes": 0, "n_shared_edges": 0, "n_clusters": 0,
-             "n_levels": 0, "mu_q": 0.0},
-        )
-    k_max = max(q.k for q in queries)
+    k_max = max((q.k for q in queries), default=0)
 
     with timer.stage("build_index"):
         # one edge collect feeds both the index BFS and Alg 3's detection
@@ -90,11 +79,7 @@ def run_batch(
     with timer.stage("enumeration"):
         # looked up on its module, where perfbench's trace wraps it
         padj = enumeration.build_allow(spark, plan, adj, radj, dist_from_s, dist_to_t)
-        # Expansion never reads the cache R: a consumer's prefix closes at
-        # the provider's root whatever R holds. So all of Ψ expands in one
-        # hop loop, and the concatenation follows each closed row's provider.
-        expanded = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
-        paths = attach_cached(expanded, stats.closed_rows)
+        paths = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
         results, seen = checkpoint_counted(assemble(spark, paths, plan.plans))
 
     return RunResult(

@@ -3,19 +3,18 @@
 This module is the dataflow core every algorithm shares:
 
 * :func:`enumerate_nodes` — the DataFrame version of procedure ``Search``
-  (Alg 1 lines 9-13 / Alg 4 lines 17-24). Many HC-s path "nodes" (source,
-  budget, side) are expanded together, level-synchronously: one broadcast
-  join per hop with a per-node adjacency, which carries the edges a node
-  may take, the Lemma 3.1 bound of each and the ``provider`` of a
-  BatchEnum stop rule (closing a prefix at that provider's root vertex),
-  and an ``array_contains`` filter for simplicity.
+  (Alg 1 lines 9-13 / Alg 4 lines 17-24), returning each node's result set
+  R. Many HC-s path "nodes" (source, budget, side) are expanded together,
+  level-synchronously: one broadcast join per hop with a per-node
+  adjacency, which carries the edges a node may take, the Lemma 3.1 bound
+  of each and the ``provider`` of a BatchEnum stop rule (closing a prefix
+  at that provider's root vertex), and an ``array_contains`` filter for
+  simplicity. Every closed prefix is then extended by its provider's paths
+  (Alg 4 lines 22-23) in one broadcast join of the closed prefixes (Ψ is
+  one link deep), left lazy so that ⊕'s checkpoint runs it.
 * :func:`build_allow` — that adjacency pruned by the distance index, built
   on the driver from the collected adjacency, the index maps and the plan;
   :func:`unpruned_adjacency` is the same walk with no pruning and no stops.
-* :func:`attach_cached` — BatchEnum's cache concatenation (Alg 4 lines
-  22-23): every closed prefix is extended by its provider's paths in one
-  broadcast join of the closed prefixes (Ψ is one link deep), left lazy so
-  that ⊕'s checkpoint runs it.
 * :func:`assemble` — the ⊕ operator (Def 3.1): one broadcast hash join of
   forward half-paths with backward half-paths at the meeting vertex, with
   the duplicate-free split and ``arrays_overlap`` simplicity filter
@@ -82,23 +81,14 @@ class QueryPlan:
 
 @dataclass
 class EnumStats:
-    """Work accounting: rows produced by expansion joins (hardware-neutral
-    cost; see DESIGN.md §3 'Hardware'), the prefixes among them closed at a
-    provider's root (the rows :func:`attach_cached` starts from), and hop
-    rounds."""
+    """Work accounting of :func:`enumerate_nodes`: rows produced by
+    expansion joins (hardware-neutral cost; see DESIGN.md §3 'Hardware'),
+    the prefixes among them closed at a provider's root (the rows its attach
+    round starts from), and hop rounds."""
 
     expanded_rows: int = 0
     closed_rows: int = 0
     levels: int = 0
-
-
-_EMPTY_SCHEMA = (
-    "nid long, path array<long>, last long, len int, budget int, provider long"
-)
-
-
-def empty_paths(spark: SparkSession) -> DataFrame:
-    return local_frame(spark, [], _EMPTY_SCHEMA)
 
 
 def no_paths(spark: SparkSession) -> DataFrame:
@@ -186,23 +176,33 @@ def enumerate_nodes(
     *,
     stats: EnumStats | None = None,
 ) -> DataFrame:
-    """Materialize the path sets of ``nodes`` (both sides batched together).
+    """The result set R of every node in ``nodes`` (both sides batched
+    together): Alg 4's ``Search``, stop and concatenation included.
 
     ``padj`` is a per-node adjacency ``(nid, src, dst, allow, provider)``
     (:func:`build_allow` or :func:`unpruned_adjacency`): a node's prefix
     ending at ``src`` is extended by an edge of its own rows iff ``len <
     budget``, ``len + 1 ≤ allow`` and ``dst`` is not on the prefix. A kept
-    extension whose row names a ``provider`` is closed there: it is kept
-    with that provider and is not extended further (see
-    :func:`attach_cached`).
+    extension whose row names a ``provider`` is closed there: it is not
+    extended further, and once the hop loop ends it is concatenated with
+    the provider's paths (Alg 4 lines 22-23).
 
-    Returns ``(nid, path, last, len, budget, provider)`` including the
-    zero-length seed path of every node; ``provider`` is null on every open
-    row. The result is a union of materialized inputs (the seeds over a
-    local relation and each hop's checkpoint), so it is not copied again.
+    Returns ``(nid, path, last, len)``: the zero-length seed and every open
+    row of each node, plus each closed prefix ``p`` joined with the open
+    rows ``c`` of its provider on ``p.provider = c.nid``, keeping cached
+    paths of ``c.len ≤ p.budget − p.len`` hops (the consumer's budget,
+    carried on the row) that do not revisit the prefix. Ψ is one link deep,
+    so a provider never stops and all its rows are open: one round finishes
+    every closed prefix, and each path splits uniquely at the first stop
+    vertex it reaches, so no path is produced twice.
+
+    The open rows are a union of materialized inputs (the seeds over a
+    local relation and each hop's checkpoint), so they are not copied
+    again. The attach broadcasts the closed rows, the small side, and is
+    left lazy: it starts no Spark job, and the job that reads the result
+    (⊕'s checkpoint) also runs its broadcast. When nothing closed there is
+    no join at all.
     """
-    if not nodes:
-        return empty_paths(spark)
     stats = stats if stats is not None else EnumStats()
 
     # Both directions run in ONE level-synchronous loop: the adjacency is
@@ -223,9 +223,9 @@ def enumerate_nodes(
         "nid", "array(root) AS path", "root AS last", "0 AS len", "budget",
         "CAST(NULL AS BIGINT) AS provider",
     )
-    results = frontier
-    max_budget = max(n.budget for n in nodes)
-    for _ in range(max_budget):
+    expanded = frontier
+    closed_rows = 0
+    for _ in range(max((n.budget for n in nodes), default=0)):
         new = (
             frontier.join(padj, ["nid", "last"])
             .where("len < budget AND len + 1 <= allow AND NOT array_contains(path, dst)")
@@ -239,33 +239,11 @@ def enumerate_nodes(
         if seen["rows"] == 0:
             break
         stats.expanded_rows += seen["rows"]
-        stats.closed_rows += seen["closed"]
-        results = results.unionByName(new)
+        closed_rows += seen["closed"]
+        expanded = expanded.unionByName(new)
         frontier = new.where("provider IS NULL")
-    return results
+    stats.closed_rows += closed_rows
 
-
-def attach_cached(expanded: DataFrame, closed_rows: int) -> DataFrame:
-    """Extend every closed prefix of ``expanded`` by its provider's cached
-    paths (Alg 4 lines 22-23); returns ``(nid, path, last, len)``.
-
-    ``expanded`` is :func:`enumerate_nodes` output over all of Ψ, whose
-    ``closed_rows`` rows carry a provider; its open rows are final. Ψ is one
-    link deep, so a provider never stops and all its rows are open: one
-    round finishes every closed prefix. The round broadcasts the closed rows
-    ``p`` and joins them with the cached rows ``c`` of ``expanded`` on
-    ``p.provider = c.nid``, keeping cached paths of ``c.len ≤ p.budget −
-    p.len`` hops (the consumer's budget, carried on the row) that do not
-    revisit the prefix. The result is lazy and starts
-    no Spark job: the job that reads it (⊕'s checkpoint) also runs the
-    broadcast, and ⊕'s two reads of it share that one broadcast. Its inputs
-    are the hop loop's checkpoints, so reading it twice re-runs only the
-    join. The closed side is the small one: it holds only the prefixes that
-    closed at a stop vertex.
-
-    Each path splits uniquely at the first stop vertex it reaches, so no
-    path is produced twice.
-    """
     paths = expanded.where("provider IS NULL").select("nid", "path", "last", "len")
     if not closed_rows:
         return paths
@@ -299,8 +277,10 @@ def assemble(
     vertex, filtered for vertex-disjointness, if it has exactly ``a`` hops
     (a path of ≥ ``a`` hops splits there) or 1 ≤ hops < ``a`` and ends at
     t. The only backward path ending at its own root t is the zero-length
-    ``[t]``, so such a row comes out unchanged (the zero-length forward seed
-    ends at t only when s = t, and no query has a 0-hop answer).
+    ``[t]``, so such a row comes out unchanged. A backward row is kept if
+    the path it ends has ``a + len`` hops in ``1..k``: no query has a 0-hop
+    answer, and with ``a = 0`` the two zero-length seeds would meet in one
+    when s = t.
 
     The backward side is broadcast as ``(bqid, btail, blast)``, its path
     already reversed and stripped of the meeting vertex, so ⊕ has no
@@ -325,7 +305,7 @@ def assemble(
     )
     bwd = (
         paths.join(plan_df, F.expr("nid = bnid"))
-        .where("len <= k - a")
+        .where("a + len BETWEEN 1 AND k")
         .selectExpr("qid AS bqid", "slice(reverse(path), 2, len) AS btail", "last AS blast")
     )
     return (

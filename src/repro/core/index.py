@@ -58,7 +58,9 @@ def bidirectional_index(
     """Both index halves — ``(root, v, dist)`` frames of ``dist_G(s, ·)``
     for the distinct ``s_roots`` over ``adj`` and ``dist_{G_r}(t, ·)`` for
     the distinct ``t_roots`` over ``radj``, up to ``k_max`` hops (Alg 1/4
-    lines 1-2). Local relations: building and reading them starts no job."""
+    lines 1-2). Local relations: building and reading them starts no job,
+    except that an empty half (a batch with no queries) is a ``range(0)``
+    frame (``graph.ops.local_frame``), whose read is one job."""
     fwd = bfs_index(adj, s_roots, k_max)
     bwd = bfs_index(radj, t_roots, k_max)
     return _frame(spark, fwd), _frame(spark, bwd)

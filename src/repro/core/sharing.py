@@ -206,8 +206,6 @@ class _Detector:
         for node, pairs in initial:
             for t, cap in pairs:
                 self._add_pair(node.nid, t, cap)
-        if not initial:
-            return
         k_max = max(n.budget for n, _ in initial)
         for rem in range(k_max, -1, -1):
             for node, _ in initial:
@@ -312,7 +310,7 @@ def build_shared_plan(
                         q.qid, q.s, q.t, q.k, splits[q.qid],
                         fnid[q.qid], node_of_root[q.t].nid,
                     ))
-    # attach_cached finishes a closed prefix in one round: a chain would lose paths
+    # enumerate_nodes finishes a closed prefix in one round: a chain would lose paths
     consumers = {e.consumer for e in plan.edges}
     if any(e.provider in consumers for e in plan.edges):
         raise RuntimeError("Ψ is not one link deep: a consumer also provides")

@@ -269,14 +269,15 @@ class TestDegenerateBatches:
     @RUNNERS_PLUS
     def test_nonpositive_k(self, spark, paper_edges, paper_adj, paper_pdf, run):
         # A path has at least one hop, so k ≤ 0 admits none, even where s
-        # has a direct edge to t (0 → 1); the query beside it stays exact.
+        # has a direct edge to t (0 → 1) or is t (3), where the zero-length
+        # halves of a 0-hop split meet; the query beside it stays exact.
         want = ref.enum_st_paths(paper_adj, 0, 11, 5)
-        for k in (0, -1):
-            assert ref.enum_st_paths(paper_adj, 0, 1, k) == set()
-            qs = [Query(0, 0, 1, k), Query(1, 0, 11, 5)]
+        for q in (Query(0, 0, 1, 0), Query(0, 0, 1, -1), Query(0, 3, 3, 0)):
+            assert ref.enum_st_paths(paper_adj, q.s, q.t, q.k) == set()
+            qs = [q, Query(1, 0, 11, 5)]
             rr = run(spark, paper_edges, qs)
-            assert by_query(rr, qs) == {0: set(), 1: want}, k
-            assert rr.extras["n_paths"] == len(want), k
+            assert by_query(rr, qs) == {0: set(), 1: want}, q
+            assert rr.extras["n_paths"] == len(want), q
             assert_equivalent(
                 paths_as_strings(rr.results), st_paths_sql(qs), edges=paper_pdf
             )

@@ -13,9 +13,7 @@ from repro.core.enumeration import (
     QueryPlan,
     StopRule,
     assemble,
-    attach_cached,
     build_allow,
-    empty_paths,
     enumerate_nodes,
     paths_as_strings,
     unpruned_adjacency,
@@ -249,9 +247,9 @@ class TestBuildAllow:
 
 
 def expand_chain(spark, adj, *chain):
-    """Expand the ``chain`` of nodes in one hop loop, each node stopping at
-    the root of the node before it; returns the expanded rows and the
-    number of them closed at a stop.
+    """:func:`enumerate_nodes` over the ``chain`` of nodes in one hop loop,
+    each node stopping at the root of the node before it; returns R, the
+    run's :class:`EnumStats` and the number of Spark jobs it started.
 
     The stops travel in a table that prunes nothing: each node has one
     prune pair to a target at distance 0 from every vertex, so ``allow =
@@ -264,21 +262,10 @@ def expand_chain(spark, adj, *chain):
         stops=[StopRule(c.nid, p.root, p.nid) for p, c in zip(chain, chain[1:])],
     )
     padj = build_allow(spark, plan, adj, reverse_adjacency(adj), everywhere, everywhere)
-    expanded = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
-    return expanded, stats.closed_rows
-
-
-def expand_then_attach(spark, adj, *chain):
-    """:func:`expand_chain`, then attach the cached paths."""
-    return attach_cached(*expand_chain(spark, adj, *chain))
-
-
-def attach_counting_jobs(spark, expanded, closed_rows):
-    """:func:`attach_cached` and the number of Spark jobs it started."""
     jobs = spark.sparkContext._jsc.sc().dagScheduler().nextJobId
     before = jobs()
-    got = attach_cached(expanded, closed_rows)
-    return got, jobs() - before
+    got = enumerate_nodes(spark, plan.nodes, padj, stats=stats)
+    return got, stats, jobs() - before
 
 
 class TestStopsAndCache:
@@ -286,53 +273,53 @@ class TestStopsAndCache:
         self, spark, paper_adj
     ):
         # Provider: q_{v1,2,G}; consumer: q_{v0,3,G} stopping at v1.
-        got = expand_then_attach(
+        got = expand_chain(
             spark, paper_adj, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
-        )
+        )[0]
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
 
     def test_one_link_attach_jobs(self, spark, paper_adj):
         # q_{v0,4,G} stops at v1 and reuses q_{v1,3,G}. Ψ is one link deep,
         # so one round finishes every closed prefix. The round is lazy: the
-        # job that reads it (⊕'s checkpoint) also runs its broadcast.
-        expanded, closed_rows = expand_chain(
+        # job that reads it (⊕'s checkpoint) also runs its broadcast, so the
+        # hop loop's 2 jobs per hop (the adjacency's broadcast and the
+        # checkpoint) are all that enumerate_nodes starts.
+        got, stats, jobs = expand_chain(
             spark, paper_adj, HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 4, "F"),
         )
-        assert closed_rows > 0
-        got, jobs = attach_counting_jobs(spark, expanded, closed_rows)
-        assert jobs == 0
+        assert stats.closed_rows > 0
+        assert jobs == 2 * stats.levels
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
         assert node_paths(got, 1) == ref.enum_hcs_paths(paper_adj, 1, 3)
 
     def test_no_closed_rows_no_jobs(self, spark, paper_adj):
-        expanded, closed_rows = expand_chain(spark, paper_adj, HcsNode(0, 0, 4, "F"))
-        assert closed_rows == 0
-        got, jobs = attach_counting_jobs(spark, expanded, closed_rows)
-        assert jobs == 0
+        got, stats, jobs = expand_chain(spark, paper_adj, HcsNode(0, 0, 4, "F"))
+        assert stats.closed_rows == 0
+        assert jobs == 2 * stats.levels
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 4)
 
     def test_stop_bare_prefix_emitted(self, spark, paper_adj):
         # the zero-length cached path must surface the stopped prefix itself
-        got = expand_then_attach(
+        got = expand_chain(
             spark, paper_adj, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
-        )
+        )[0]
         assert (0, 1) in node_paths(got, 0)
 
     def test_cache_length_filter(self, spark, paper_adj):
         # provider budget 3 > remaining 2 at attach: longer cached paths
         # must be filtered, result equals plain budget-3 enumeration.
-        got = expand_then_attach(
+        got = expand_chain(
             spark, paper_adj, HcsNode(1, 1, 3, "F"), HcsNode(0, 0, 3, "F")
-        )
+        )[0]
         assert node_paths(got, 0) == ref.enum_hcs_paths(paper_adj, 0, 3)
 
     def test_overlap_with_prefix_filtered(self, spark):
         # graph 0->1->0 cycles: cached provider paths revisiting the prefix
         # must be dropped.
         adj = {0: [1], 1: [0, 2]}
-        got = expand_then_attach(
+        got = expand_chain(
             spark, adj, HcsNode(1, 1, 2, "F"), HcsNode(0, 0, 3, "F")
-        )
+        )[0]
         assert (1, 0) in node_paths(got, 1)
         assert node_paths(got, 0) == ref.enum_hcs_paths(adj, 0, 3)
 
@@ -386,8 +373,8 @@ class TestAssemble:
         rows = [tuple(r["path"]) for r in got.collect()]
         assert len(rows) == len(set(rows))
 
-    def test_empty_plans(self, spark, paper_edges):
-        got = assemble(spark, empty_paths(spark), [])
+    def test_empty_plans(self, spark, paper_graph):
+        got = assemble(spark, unpruned(spark, paper_graph, []), [])
         assert got.count() == 0
 
     def test_paths_as_strings(self, spark, paper_graph):

@@ -8,23 +8,36 @@ prefix closure, Lemma 4.1 domination containment, Lemma 3.1 pruning).
 """
 from __future__ import annotations
 
+from collections import defaultdict
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ref_engine as ref
+from repro.core.basic_enum import compute_splits
+from repro.core.clustering import cluster_queries
 from repro.core.enumeration import HcsNode, StopRule, pruned_adjacency
 from repro.core.index import bfs_index
-from repro.core.sharing import ExecPlan
-from repro.core.similarity import mu_from_coeffs
+from repro.core.queries import Query
+from repro.core.sharing import (
+    ExecPlan,
+    align_splits_per_cluster,
+    build_basic_plan,
+    build_shared_plan,
+)
+from repro.core.similarity import mu_from_coeffs, pairwise_mu
 
 
 @st.composite
-def digraphs(draw, max_n=8):
-    n = draw(st.integers(min_value=2, max_value=max_n))
+def digraphs(draw, max_n=8, min_n=2, min_degree=0):
+    """A digraph without self-loops on vertices ``0..n-1``, ``min_n ≤ n ≤
+    max_n``, with ``min_degree·n`` to ``3n`` edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     edges = draw(
         st.sets(
             st.tuples(
                 st.integers(0, n - 1), st.integers(0, n - 1)
             ).filter(lambda e: e[0] != e[1]),
+            min_size=min_degree * n,
             max_size=n * 3,
         )
     )
@@ -139,6 +152,104 @@ def test_pruned_adjacency_is_exact(adj, data):
 
     assert hop_loop(nodes, lambda n, u: padj.get((n.nid, u), ())) == hop_loop(
         nodes, old_step)
+
+
+def interpret(plan, adj, radj, dist_from_s, dist_to_t):
+    """Each node's R and each query's paths as ``enumerate_nodes`` and
+    ``assemble`` compute them from ``plan``: the hop loop over the pruned
+    adjacency, one attach round and ⊕'s split rule. Rows are kept in lists,
+    so a row produced twice shows."""
+    padj = defaultdict(list)
+    for nid, src, dst, allow, provider in pruned_adjacency(
+        plan, adj, radj, dist_from_s, dist_to_t
+    ):
+        padj[nid, src].append((dst, allow, provider))
+    rows = hop_loop(plan.nodes, lambda n, u: padj[n.nid, u])
+    budget = {n.nid: n.budget for n in plan.nodes}
+    cached = defaultdict(list)  # the open rows
+    for nid, path, provider in rows:
+        if provider is None:
+            cached[nid].append(path)
+    r = {nid: list(paths) for nid, paths in cached.items()}
+    for nid, path, provider in rows:
+        if provider is not None:  # closed: attach the provider's paths
+            r[nid] += [path + c[1:] for c in cached[provider]
+                       if len(c) - 1 <= budget[nid] - (len(path) - 1)
+                       and not set(path) & set(c[1:])]
+    answers = defaultdict(list)
+    for p in plan.plans:
+        tails = [(b[-1], b[::-1][1:]) for b in r[p.bnid] if 1 <= p.a + len(b) - 1 <= p.k]
+        for f in r[p.fnid]:
+            # two tests, not one: if the split's cases overlapped, a path
+            # would come out twice
+            heads = []
+            if len(f) - 1 == p.a:  # a path of ≥ a hops splits at a
+                heads.append(f)
+            if 1 <= len(f) - 1 <= p.a - 1 and f[-1] == p.t:  # a shorter one ends at t
+                heads.append(f)
+            answers[p.qid] += [head + tail for head in heads for last, tail in tails
+                               if last == head[-1] and not set(head) & set(tail)]
+    return r, answers
+
+
+@st.composite
+def batches(draw):
+    """A digraph of 4–11 vertices and a batch of ≤ 12 queries with ``k``
+    0–6. Sources come mostly from a small pool along one walk, so endpoints
+    are shared, queries repeat and one source's search reaches another's;
+    most targets end a walk from the source, the rest are any id up to 12,
+    some absent from the graph."""
+    adj = draw(digraphs(max_n=11, min_n=4, min_degree=1))
+    vertex = st.integers(0, 12)
+
+    def walk(u):
+        for step in draw(st.lists(st.integers(0, 10), max_size=6)):
+            u = adj[u][step % len(adj[u])] if adj.get(u) else u
+        return u
+
+    pool = [draw(vertex)]
+    pool += [walk(pool[0]) for _ in range(draw(st.integers(0, 3)))]
+    triples = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = draw(st.one_of(st.sampled_from(pool), vertex))
+        t = walk(s) if draw(st.booleans()) else draw(vertex)
+        triples.append((s, t, draw(st.integers(0, 6))))
+    repeats = draw(st.lists(st.sampled_from(triples), max_size=4))
+    return adj, [Query(i, *q) for i, q in enumerate(triples + repeats)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.booleans())
+def test_plans_interpret_to_naive(batch, gamma, optimized, shared):
+    """BatchEnum's and BasicEnum's plans, as the Spark pipeline runs them,
+    give every query exactly the naive path set with no path twice, and
+    every node an R of simple paths from its root within its budget."""
+    adj, queries = batch
+    radj = radj_of(adj)
+    k_max = max(q.k for q in queries)
+    dist_from_s = bfs_index(adj, [q.s for q in queries], k_max)
+    dist_to_t = bfs_index(radj, [q.t for q in queries], k_max)
+    splits = compute_splits(queries, optimized, dist_from_s, dist_to_t)
+    if shared:
+        mu = pairwise_mu(dist_from_s, dist_to_t, queries)
+        clusters = cluster_queries(mu, [q.qid for q in queries], gamma)
+        if optimized:
+            splits = align_splits_per_cluster(queries, clusters, splits)
+        plan = build_shared_plan(
+            queries, clusters, splits, adj, radj, dist_from_s, dist_to_t
+        )
+    else:
+        plan = build_basic_plan(queries, splits)
+
+    r, answers = interpret(plan, adj, radj, dist_from_s, dist_to_t)
+    for n in plan.nodes:
+        # a node of budget < 0 (the ⁺ split of a k = 0 query) keeps its seed
+        hcs = ref.enum_hcs_paths(adj if n.side == "F" else radj, n.root, max(n.budget, 0))
+        assert len(r[n.nid]) == len(set(r[n.nid])) and set(r[n.nid]) <= hcs, n
+    for q in queries:
+        got = answers[q.qid]
+        assert len(got) == len(set(got)), q
+        assert set(got) == ref.enum_st_paths(adj, q.s, q.t, q.k), q
 
 
 @settings(max_examples=100, deadline=None)
